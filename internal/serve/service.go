@@ -208,18 +208,18 @@ func (s JobStatus) Terminal() bool {
 type job struct {
 	status  JobStatus
 	prog    *bytecode.Program
-	spec    sip.JobSpec
+	cfg     sip.Config
 	result  *sip.Result
 	metrics *obs.Registry
 	done    chan struct{}
 
-	// cancel feeds sip cancellation (JobSpec.Cancel); cancelState is the
+	// cancel feeds sip cancellation (Config.Cancel); cancelState is the
 	// terminal state a fired cancel is steering toward (timeout or
 	// canceled), set under Service.mu before the channel closes.
 	cancel      chan struct{}
 	cancelOnce  sync.Once
 	cancelState string
-	// stop feeds the graceful drain-stop (JobSpec.Stop): the master takes
+	// stop feeds the graceful drain-stop (Config.Stop): the master takes
 	// one final snapshot at the next consistency point, then self-cancels.
 	// Nil when checkpointing is off.
 	stop     chan struct{}
@@ -419,58 +419,54 @@ func (s *Service) Gate() *FairGate { return s.gate }
 
 // buildJob compiles and sizes one submission; shared by Submit and the
 // replay path.
-func (s *Service) buildJob(req SubmitRequest) (*bytecode.Program, sip.JobSpec, *sip.DryRunReport, error) {
+func (s *Service) buildJob(req SubmitRequest) (*bytecode.Program, sip.Config, *sip.DryRunReport, error) {
 	src := req.Source
 	var pack Pack
 	if req.Pack != "" {
 		var ok bool
 		pack, ok = s.pack(req.Pack)
 		if !ok {
-			return nil, sip.JobSpec{}, nil, fmt.Errorf("serve: unknown pack %q", req.Pack)
+			return nil, sip.Config{}, nil, fmt.Errorf("serve: unknown pack %q", req.Pack)
 		}
 		if src == "" {
 			src = pack.Source
 		}
 	}
 	if src == "" {
-		return nil, sip.JobSpec{}, nil, fmt.Errorf("serve: submission has no source and no pack")
+		return nil, sip.Config{}, nil, fmt.Errorf("serve: submission has no source and no pack")
 	}
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
-		return nil, sip.JobSpec{}, nil, fmt.Errorf("serve: compile: %w", err)
+		return nil, sip.Config{}, nil, fmt.Errorf("serve: compile: %w", err)
 	}
 	seg := req.Seg
 	if seg <= 0 {
 		seg = s.cfg.DefaultSeg
 	}
-	spec := sip.JobSpec{
-		Prog:         prog,
+	// Dry-run sizing against the pool's current live worker count: the
+	// paper's pre-execution feasibility analysis, reused as the admission
+	// charge.  The same Config then runs the job; the pool overwrites its
+	// world-level fields (Workers, Servers) at admission.
+	workers := len(s.pool.Workers())
+	if workers == 0 {
+		return nil, sip.Config{}, nil, fmt.Errorf("serve: pool has no live workers")
+	}
+	cfg := sip.Config{
+		Workers:      workers,
+		Servers:      s.cfg.Pool.Servers,
 		Params:       req.Params,
 		Seg:          bytecode.DefaultSegConfig(seg),
 		GatherArrays: req.Gather,
 	}
 	if pack.Env != nil {
 		env := pack.Env(req.Params)
-		spec.Preset, spec.Super, spec.Integrals = env.Preset, env.Super, env.Integrals
+		cfg.Preset, cfg.Super, cfg.Integrals = env.Preset, env.Super, env.Integrals
 	}
-
-	// Dry-run sizing against the pool's current live worker count: the
-	// paper's pre-execution feasibility analysis, reused as the admission
-	// charge.
-	workers := len(s.pool.Workers())
-	if workers == 0 {
-		return nil, sip.JobSpec{}, nil, fmt.Errorf("serve: pool has no live workers")
-	}
-	report, err := sip.DryRun(prog, sip.Config{
-		Workers: workers,
-		Servers: s.cfg.Pool.Servers,
-		Params:  req.Params,
-		Seg:     spec.Seg,
-	}, s.cfg.MemBudget)
+	report, err := sip.DryRun(prog, cfg, s.cfg.MemBudget)
 	if err != nil {
-		return nil, sip.JobSpec{}, nil, fmt.Errorf("serve: dry run: %w", err)
+		return nil, sip.Config{}, nil, fmt.Errorf("serve: dry run: %w", err)
 	}
-	return prog, spec, report, nil
+	return prog, cfg, report, nil
 }
 
 // Submit validates, sizes, and enqueues one job.  The returned status
@@ -492,7 +488,7 @@ func (s *Service) submit(req SubmitRequest) (JobStatus, bool, error) {
 		}
 		s.mu.Unlock()
 	}
-	prog, spec, report, err := s.buildJob(req)
+	prog, cfg, report, err := s.buildJob(req)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
@@ -514,7 +510,7 @@ func (s *Service) submit(req SubmitRequest) (JobStatus, bool, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	st, err := s.enqueueLocked(id, req, prog, spec, report.PerWorkerBytes, report.MinWorkers, true)
+	st, err := s.enqueueLocked(id, req, prog, cfg, report.PerWorkerBytes, report.MinWorkers, true)
 	return st, false, err
 }
 
@@ -543,7 +539,7 @@ func (s *Service) byKeyLocked(key string) (JobStatus, bool) {
 // enqueueLocked creates the job record under id, journals the
 // submission when fresh is true (replay resubmissions are already
 // journaled), applies the budget and queue-cap gates, and enqueues.
-func (s *Service) enqueueLocked(id int, req SubmitRequest, prog *bytecode.Program, spec sip.JobSpec, perWorker int64, minWorkers int, fresh bool) (JobStatus, error) {
+func (s *Service) enqueueLocked(id int, req SubmitRequest, prog *bytecode.Program, cfg sip.Config, perWorker int64, minWorkers int, fresh bool) (JobStatus, error) {
 	name := req.Name
 	if name == "" {
 		name = fmt.Sprintf("job-%d", id)
@@ -560,25 +556,25 @@ func (s *Service) enqueueLocked(id int, req SubmitRequest, prog *bytecode.Progra
 			IdempotencyKey: req.IdempotencyKey,
 		},
 		prog:   prog,
-		spec:   spec,
+		cfg:    cfg,
 		done:   make(chan struct{}),
 		cancel: make(chan struct{}),
 	}
-	j.spec.Cancel = j.cancel
+	j.cfg.Cancel = j.cancel
 	if s.cfg.CkptInterval > 0 {
 		// Checkpoint identity comes from the durable serve id — pool job
 		// ids restart from 1 with the process, serve ids do not — so a
 		// requeued job finds its own snapshots after a restart.
 		j.stop = make(chan struct{})
-		j.spec.Stop = j.stop
-		j.spec.CkptInterval = s.cfg.CkptInterval
-		j.spec.CkptKeep = s.cfg.CkptKeep
-		j.spec.CkptName = fmt.Sprintf("job%d", id)
-		j.spec.Resume = true
-		j.spec.OnSnapshot = func(info sip.SnapshotInfo) {
+		j.cfg.Stop = j.stop
+		j.cfg.CkptInterval = s.cfg.CkptInterval
+		j.cfg.CkptKeep = s.cfg.CkptKeep
+		j.cfg.CkptName = fmt.Sprintf("job%d", id)
+		j.cfg.Resume = true
+		j.cfg.OnSnapshot = func(info sip.SnapshotInfo) {
 			s.noteSnapshot(id, info)
 		}
-		j.spec.OnResume = func(sip.ResumeInfo) {
+		j.cfg.OnResume = func(sip.ResumeInfo) {
 			s.mu.Lock()
 			if jb := s.jobs[id]; jb != nil {
 				jb.status.Resumed = true
@@ -619,7 +615,7 @@ func (s *Service) enqueueLocked(id int, req SubmitRequest, prog *bytecode.Progra
 // id.  The submitted event is already durable, so nothing is
 // re-journaled here; the deadline re-arms in full.
 func (s *Service) resubmit(r *replayedJob) error {
-	prog, spec, report, err := s.buildJob(r.req)
+	prog, cfg, report, err := s.buildJob(r.req)
 	if err != nil {
 		return err
 	}
@@ -628,7 +624,7 @@ func (s *Service) resubmit(r *replayedJob) error {
 	if s.closed || s.draining {
 		return fmt.Errorf("serve: service is closed")
 	}
-	_, err = s.enqueueLocked(r.id, r.req, prog, spec, report.PerWorkerBytes, report.MinWorkers, false)
+	_, err = s.enqueueLocked(r.id, r.req, prog, cfg, report.PerWorkerBytes, report.MinWorkers, false)
 	if err != nil {
 		// The budget or cap verdict is terminal and journaled by
 		// enqueueLocked; replay is done with this job.
@@ -687,7 +683,7 @@ func (s *Service) admitLoop() {
 		j.status.Started = time.Now()
 		if s.cfg.JobMetrics {
 			j.metrics = obs.NewRegistry()
-			j.spec.Metrics = j.metrics
+			j.cfg.Metrics = j.metrics
 		}
 		st := j.status
 		s.journalLocked(journalEvent{Kind: evStarted, ID: id, Status: &st})
@@ -719,7 +715,7 @@ func rankCasualty(err error) bool {
 // runJob executes one admitted job and retires its charges.
 func (s *Service) runJob(j *job) {
 	defer s.runWG.Done()
-	res, err := s.pool.RunJob(j.spec)
+	res, err := s.pool.RunJob(j.prog, j.cfg)
 	// A rank death mid-run is a pool event, not a program error: the
 	// job's distributed blocks died with the rank.  Re-execute on the
 	// pool's reshaped live membership (Config.MaxRetries); deterministic
@@ -729,7 +725,7 @@ func (s *Service) runJob(j *job) {
 		s.mu.Lock()
 		j.status.Retries++
 		s.mu.Unlock()
-		res, err = s.pool.RunJob(j.spec)
+		res, err = s.pool.RunJob(j.prog, j.cfg)
 	}
 
 	s.mu.Lock()

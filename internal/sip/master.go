@@ -282,7 +282,7 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 	// (a plain AnyTag receive would steal the other jobs' traffic).
 	lo, hi := m.rt.tag(tag), m.rt.tag(tag)
 	if tag == mpi.AnyTag {
-		lo, hi = m.rt.tagBase, m.rt.tagBase+jobTagStride-1
+		lo, hi = m.rt.tagBase(), m.rt.tagBase()+jobTagStride-1
 	}
 	if m.rt.cfg.Recover {
 		stamp := w.EvictStamp()
@@ -303,7 +303,7 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 			}
 		}
 		total := time.Duration(attempts) * d
-		if m.rt.pooled {
+		if m.rt.inPool() {
 			// Pool ranks never die silently: real deaths arrive as explicit
 			// evictions, which fire the cancel predicate above.  Silence here
 			// means a suspect is merely slow — wedged on a dead rank's block
@@ -460,7 +460,7 @@ func (m *master) run() (res *Result, err error) {
 		if !ok {
 			continue // membership changed; re-check the ledger
 		}
-		switch msg.Tag - rt.tagBase {
+		switch msg.Tag - rt.tagBase() {
 		case tagChunkReq:
 			var start time.Time
 			if trk != nil {
@@ -625,7 +625,7 @@ func (m *master) run() (res *Result, err error) {
 	// metrics cover the whole run.  Pool jobs skip this: telemetry is
 	// shipped per rank for the pool's lifetime, not per job, and is
 	// drained by the pool's own obs loop on the global tagObs.
-	if rt.job == 0 {
+	if !rt.inPool() {
 		m.collectFinalObs()
 	}
 	if m.cancelled {
@@ -951,7 +951,7 @@ func (m *master) flushServers() error {
 				continue
 			}
 			// True silence from a live server.
-			if rt.pooled {
+			if rt.inPool() {
 				// Pool servers never die silently (see recvAny); a slow
 				// flush under multi-tenant load is not a death.  Keep
 				// waiting — an explicit eviction still cancels the wait.

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bytecode"
@@ -37,24 +37,28 @@ import (
 // the job replays around, and rank joins only require that later jobs'
 // membership snapshots include the newcomer.
 type Pool struct {
-	cfg        PoolConfig
-	world      *mpi.World
-	scratch    string
-	ownScratch bool
+	cfg   PoolConfig
+	world *mpi.World
+	// base is the shared servers' runtime; it also holds the pool's
+	// filled world-level Config, server ranks and scratch directory.
+	base    *runtime
+	cleanup func() // removes a scratch directory the pool created
 
-	serverList []int
-	spareList  []int
+	spareList []int
 
-	servers []*ioServer
-	srvErrs []error
-	srvWG   sync.WaitGroup
+	srvErr error // the shared servers' outcome, set when they exit
+	srvWG  sync.WaitGroup
 
 	supWG sync.WaitGroup
 
 	mu      sync.Mutex
 	nextJob int
 	workers []int // live worker ranks; grows on Join, shrinks on Kill
-	closed  bool
+	// closed is written under mu but read lock-free by the supervisor's
+	// receive-cancel predicate, which runs under rank 0's mailbox lock:
+	// taking mu there would deadlock against Kill, which holds mu while
+	// World.Evict wakes every mailbox.
+	closed atomic.Bool
 }
 
 // PoolConfig parameterizes a Pool.
@@ -83,8 +87,8 @@ type PoolConfig struct {
 	// (default os.Stdout).
 	Output io.Writer
 	// Metrics, when non-nil, collects pool-lifetime counters (shared
-	// server cache/disk statistics, MPI traffic).  Per-job registries are
-	// passed per job via JobSpec.Metrics.
+	// server cache and dedup statistics).  Per-job registries are passed
+	// per job via Config.Metrics.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records pool-lifetime spans.
 	Tracer *obs.Tracer
@@ -93,50 +97,8 @@ type PoolConfig struct {
 	RecvRetries int
 }
 
-// JobSpec is one program submitted to the pool.
-type JobSpec struct {
-	// Prog is the compiled program to run.
-	Prog *bytecode.Program
-	// Params supplies values for the program's symbolic constants.
-	Params map[string]int
-	// Seg selects segment sizes.
-	Seg bytecode.SegConfig
-	// Preset, Super, Integrals configure the program's environment
-	// exactly as in Config.
-	Preset    map[string]PresetFunc
-	Super     map[string]SuperFunc
-	Integrals IntegralFunc
-	// GatherArrays collects array contents into the job's Result.
-	GatherArrays bool
-	// Metrics, when non-nil, is the job's private registry: worker and
-	// master counters for this job land here, keeping tenants' telemetry
-	// separate.
-	Metrics *obs.Registry
-	// Output overrides the pool's Output for this job's prints.
-	Output io.Writer
-	// Cancel, when non-nil and closed, cancels the job cooperatively:
-	// the master starves its pardo dispatch, the program fast-forwards
-	// to completion, and RunJob returns ErrJobCanceled with the job's
-	// tag window, block namespaces, and server-side state released
-	// exactly as on a normal completion (see Config.Cancel).  `sial
-	// serve` drives deadlines and POST /jobs/{id}/cancel through this.
-	Cancel <-chan struct{}
-	// Checkpoint/restart (see the matching Config fields and
-	// snapshot.go).  CkptName must be stable across restarts of the
-	// same logical job — pool job ids are not (they are assigned in
-	// admission order), so `sial serve` derives it from its own durable
-	// job ids.
-	CkptInterval int
-	CkptKeep     int
-	CkptName     string
-	Resume       bool
-	Stop         <-chan struct{}
-	OnSnapshot   func(SnapshotInfo)
-	OnResume     func(ResumeInfo)
-}
-
-// ErrJobCanceled is returned by RunJob (wrapped) when the job's
-// JobSpec.Cancel channel fired: the master abandoned the remaining
+// ErrJobCanceled is returned by Run and RunJob (wrapped) when the job's
+// Config.Cancel channel fired: the master abandoned the remaining
 // work, fast-forwarded the program through its normal shutdown, and
 // released every pool resource the job held.  Partial results are
 // discarded.
@@ -145,87 +107,53 @@ var ErrJobCanceled = errors.New("sip: job canceled")
 // NewPool builds the world, starts the shared I/O servers and the
 // rank-0 supervisor, and returns a pool ready to accept jobs.
 func NewPool(cfg PoolConfig) (*Pool, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("sip: pool needs Workers >= 1, got %d", cfg.Workers)
+	if cfg.Spares < 0 {
+		return nil, fmt.Errorf("sip: pool Spares = %d, need >= 0", cfg.Spares)
 	}
-	if cfg.Servers < 0 || cfg.Spares < 0 {
-		return nil, fmt.Errorf("sip: pool Servers/Spares must be >= 0")
-	}
-	if cfg.Replicas > 1 && cfg.Replicas > cfg.Servers {
-		return nil, fmt.Errorf("sip: pool Replicas = %d exceeds Servers = %d", cfg.Replicas, cfg.Servers)
-	}
-	if cfg.Output == nil {
-		cfg.Output = os.Stdout
-	}
-	scratch, own := cfg.ScratchDir, false
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "sip-pool-")
-		if err != nil {
-			return nil, fmt.Errorf("sip: pool scratch dir: %w", err)
-		}
-		scratch, own = dir, true
-	}
-
-	n := 1 + cfg.Workers + cfg.Servers + cfg.Spares
-	p := &Pool{
-		cfg:        cfg,
-		world:      mpi.NewWorld(n),
-		scratch:    scratch,
-		ownScratch: own,
-		nextJob:    1,
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		p.workers = append(p.workers, 1+i)
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		p.serverList = append(p.serverList, 1+cfg.Workers+i)
-	}
-	for i := 0; i < cfg.Spares; i++ {
-		p.spareList = append(p.spareList, 1+cfg.Workers+cfg.Servers+i)
-	}
-	if len(p.spareList) > 0 {
-		p.world.SetLatent(p.spareList...)
-	}
-	if cfg.Recover {
-		critical := []int{0}
-		if cfg.Replicas <= 1 {
-			critical = append(critical, p.serverList...)
-		}
-		p.world.SetRecover(critical...)
-	}
-
 	// The shared servers run against a base runtime with no program of
 	// its own: every block they touch carries a tenant's job id, whose
-	// registration supplies the layout.
-	baseCfg := Config{
-		Workers:  cfg.Workers,
-		Servers:  cfg.Servers,
-		Replicas: max(cfg.Replicas, 1),
-		Recover:  cfg.Recover,
+	// registration supplies the layout.  Filling its Config validates the
+	// pool's exactly as Run validates a run's.
+	base := Config{
+		Workers:    cfg.Workers,
+		Servers:    cfg.Servers,
+		Replicas:   cfg.Replicas,
+		Recover:    cfg.Recover,
+		ScratchDir: cfg.ScratchDir,
+		Output:     cfg.Output,
+		Metrics:    cfg.Metrics,
+		Tracer:     cfg.Tracer,
 	}
-	if err := baseCfg.fill(); err != nil {
+	if err := base.fill(); err != nil {
 		return nil, err
 	}
-	baseRT := &runtime{
-		cfg:     baseCfg,
-		world:   p.world,
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		scratch: scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
+	world := mpi.NewWorld(1 + base.Workers + base.Servers + cfg.Spares)
+	rt, cleanup, err := newRuntime(nil, base, world)
+	if err != nil {
+		return nil, err
 	}
-	baseRT.initRanks()
-	for i, rank := range p.serverList {
-		s := newIOServer(baseRT, rank)
-		p.servers = append(p.servers, s)
-		p.srvErrs = append(p.srvErrs, nil)
-		p.srvWG.Add(1)
-		go func(i int, s *ioServer) {
-			defer p.srvWG.Done()
-			p.srvErrs[i] = s.run()
-		}(i, s)
+	p := &Pool{
+		cfg:       cfg,
+		world:     world,
+		base:      rt,
+		cleanup:   cleanup,
+		spareList: rankRange(1+base.Workers+base.Servers, cfg.Spares),
+		nextJob:   1,
+		workers:   rt.workerRanks(),
 	}
+	if len(p.spareList) > 0 {
+		world.SetLatent(p.spareList...)
+	}
+	// The pool installs no MPI observer: per-job registries stay private
+	// to their tenants.
+	if cfg.Recover {
+		world.SetRecover(rt.criticalRanks()...)
+	}
+	p.srvWG.Add(1)
+	go func() {
+		defer p.srvWG.Done()
+		_, p.srvErr = rt.play(rt.serverList...)
+	}()
 
 	p.supWG.Add(1)
 	go p.supervise()
@@ -244,20 +172,15 @@ func (p *Pool) supervise() {
 		}
 	}()
 	comm := p.world.Comm(0)
-	closed := func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.closed
-	}
-	for !closed() {
-		m, ok := comm.RecvRangeUntil(mpi.AnySource, 0, jobTagStride-1, 200*time.Millisecond, closed)
+	for !p.closed.Load() {
+		m, ok := comm.RecvRangeUntil(mpi.AnySource, 0, jobTagStride-1, 200*time.Millisecond, p.closed.Load)
 		if !ok {
 			continue
 		}
 		switch msg := m.Data.(type) {
 		case doneMsg:
 			if msg.err != "" {
-				fmt.Fprintf(p.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
+				fmt.Fprintf(p.base.cfg.Output, "[pool] rank %d: %s\n", msg.origin, msg.err)
 			}
 		case obsReportMsg:
 			// In-process pools share registries; stray reports are folded
@@ -280,7 +203,7 @@ func (p *Pool) Workers() []int {
 }
 
 // Servers returns the I/O-server ranks (a copy).
-func (p *Pool) Servers() []int { return append([]int(nil), p.serverList...) }
+func (p *Pool) Servers() []int { return append([]int(nil), p.base.serverList...) }
 
 // Evicted returns evicted ranks with their eviction reasons (for
 // health endpoints).
@@ -299,7 +222,7 @@ func (p *Pool) Spares() []int {
 func (p *Pool) Kill(rank int, reason string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("sip: pool is closed")
 	}
 	idx := -1
@@ -325,7 +248,7 @@ func (p *Pool) Kill(rank int, reason string) error {
 func (p *Pool) Join() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return 0, fmt.Errorf("sip: pool is closed")
 	}
 	if len(p.spareList) == 0 {
@@ -340,10 +263,17 @@ func (p *Pool) Join() (int, error) {
 	return rank, nil
 }
 
-// RunJob admits and executes one job, blocking until it completes.  Safe
-// for concurrent use: each call claims a fresh job id and tag window and
-// runs its own master and worker goroutines over the shared world.
-func (p *Pool) RunJob(spec JobSpec) (res *Result, err error) {
+// RunJob admits prog as one job and executes it under cfg, blocking
+// until it completes.  Safe for concurrent use: each call claims a fresh
+// job id and tag window and runs its own master and worker goroutines
+// over the shared world.
+//
+// cfg is the Config Run takes, but the pool owns the world-level fields
+// and overwrites them: Workers (the live membership at admission),
+// Servers, Recover (always on: pool jobs sync through their master),
+// Replicas, ScratchDir, Tracer, Gate, RecvTimeout and RecvRetries.  A nil
+// Output falls back to the pool's.
+func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err error) {
 	// A poisoned world (a critical rank died and aborted it) unwinds
 	// communication on the caller's goroutine as an ErrAborted panic —
 	// e.g. out of registerJob's readiness wait.  Surface it as an error:
@@ -359,86 +289,45 @@ func (p *Pool) RunJob(spec JobSpec) (res *Result, err error) {
 			}
 		}
 	}()
-	return p.runJob(spec)
+	return p.runJob(prog, cfg)
 }
 
-func (p *Pool) runJob(spec JobSpec) (*Result, error) {
-	if spec.Prog == nil {
+func (p *Pool) runJob(prog *bytecode.Program, cfg Config) (*Result, error) {
+	if prog == nil {
 		return nil, fmt.Errorf("sip: job has no program")
 	}
 	p.mu.Lock()
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("sip: pool is closed")
 	}
 	job := p.nextJob
 	p.nextJob++
-	snapshot := make([]int, 0, len(p.workers))
-	for _, r := range p.workers {
-		if !p.world.IsEvicted(r) {
-			snapshot = append(snapshot, r)
-		}
-	}
 	p.mu.Unlock()
-	if len(snapshot) == 0 {
+	members := p.Workers()
+	if len(members) == 0 {
 		return nil, fmt.Errorf("sip: pool has no live workers")
 	}
 
-	cfg := Config{
-		Workers:      len(snapshot),
-		Servers:      p.cfg.Servers,
-		Params:       spec.Params,
-		Seg:          spec.Seg,
-		Preset:       spec.Preset,
-		Super:        spec.Super,
-		Integrals:    spec.Integrals,
-		GatherArrays: spec.GatherArrays,
-		ScratchDir:   p.scratch,
-		Output:       spec.Output,
-		Metrics:      spec.Metrics,
-		Tracer:       p.cfg.Tracer,
-		RecvTimeout:  p.cfg.RecvTimeout,
-		RecvRetries:  p.cfg.RecvRetries,
-		Replicas:     max(p.cfg.Replicas, 1),
-		Recover:      true, // pool jobs always sync through their master
-		Job:          job,
-		WorkerRanks:  snapshot,
-		ServerRanks:  append([]int(nil), p.serverList...),
-		Gate:         p.cfg.Gate,
-		Cancel:       spec.Cancel,
-		CkptInterval: spec.CkptInterval,
-		CkptKeep:     spec.CkptKeep,
-		CkptName:     spec.CkptName,
-		Resume:       spec.Resume,
-		Stop:         spec.Stop,
-		OnSnapshot:   spec.OnSnapshot,
-		OnResume:     spec.OnResume,
-	}
+	cfg.Workers, cfg.Servers = len(members), p.cfg.Servers
+	cfg.Recover = true // pool jobs always sync through their master
+	cfg.Replicas, cfg.ScratchDir = p.cfg.Replicas, p.base.scratch
+	cfg.Tracer, cfg.Gate = p.cfg.Tracer, p.cfg.Gate
+	cfg.RecvTimeout, cfg.RecvRetries = p.cfg.RecvTimeout, p.cfg.RecvRetries
 	if cfg.Output == nil {
-		cfg.Output = p.cfg.Output
+		cfg.Output = p.base.cfg.Output
 	}
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	layout, err := spec.Prog.Resolve(cfg.Params, cfg.Seg)
+	// The scratch directory is the pool's, so there is nothing to clean.
+	rt, _, err := newRuntime(prog, cfg, p.world)
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    spec.Prog,
-		layout:  layout,
-		world:   p.world,
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		pooled:  true,
-		scratch: p.scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-	}
-	rt.initRanks()
+	rt.job, rt.workerList, rt.serverList = job, members, p.base.serverList
 
-	if err := p.registerJob(rt, spec); err != nil {
+	if err := p.registerJob(rt); err != nil {
 		return nil, err
 	}
 
@@ -451,48 +340,13 @@ func (p *Pool) runJob(spec JobSpec) (*Result, error) {
 		lc.Start(job)
 		defer lc.Finish(job)
 	}
-
-	m := newMaster(rt)
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(rt, rt.workerList[i])
-	}
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(2)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			errs[i] = w.run()
-		}(i, w)
-		go func(w *worker) {
-			defer wg.Done()
-			w.serviceLoop()
-		}(w)
-	}
-	res, masterErr := m.run()
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil && !p.world.IsEvicted(rt.workerList[i]) && !errors.Is(err, mpi.ErrAborted) {
-			return nil, err
-		}
-	}
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	res.Profile = mergeProfiles(workers, nil)
-	if cfg.Metrics != nil {
-		foldRunMetrics(cfg.Metrics, workers, nil)
-		res.Profile.Metrics = cfg.Metrics.Snapshot()
-	}
-	return res, nil
+	return rt.play(append([]int{0}, members...)...)
 }
 
 // registerJob announces the job's layout to every live shared server and
 // waits for their readiness acks, so the first prepare a worker sends
 // can be sized and placed.
-func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
+func (p *Pool) registerJob(rt *runtime) error {
 	comm := p.world.Comm(0)
 	want := 0
 	for _, srv := range rt.serverList {
@@ -503,7 +357,7 @@ func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 			job:      rt.job,
 			prog:     rt.prog,
 			layout:   rt.layout,
-			preset:   spec.Preset,
+			preset:   rt.cfg.Preset,
 			replicas: rt.cfg.Replicas,
 			servers:  append([]int(nil), rt.serverList...),
 		}
@@ -542,29 +396,26 @@ func (p *Pool) registerJob(rt *runtime, spec JobSpec) error {
 // them.
 func (p *Pool) Close() error {
 	p.mu.Lock()
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		return nil
 	}
-	p.closed = true
+	p.closed.Store(true)
 	p.mu.Unlock()
 
 	comm := p.world.Comm(0)
-	for _, srv := range p.serverList {
+	for _, srv := range p.base.serverList {
 		if !p.world.IsEvicted(srv) {
 			comm.Send(srv, tagServer, shutdownMsg{})
 		}
 	}
 	p.srvWG.Wait()
 	p.supWG.Wait()
-	var errs []error
-	for i, err := range p.srvErrs {
-		if err != nil && !p.world.IsEvicted(p.serverList[i]) && !errors.Is(err, mpi.ErrAborted) {
-			errs = append(errs, err)
-		}
+	p.cleanup()
+	// A poisoned world already failed its jobs; Close reports only the
+	// servers' own failures.
+	if errors.Is(p.srvErr, mpi.ErrAborted) {
+		return nil
 	}
-	if p.ownScratch {
-		os.RemoveAll(p.scratch)
-	}
-	return errors.Join(errs...)
+	return p.srvErr
 }

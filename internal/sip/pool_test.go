@@ -3,6 +3,7 @@ package sip
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -53,8 +54,7 @@ func TestPoolSingleJob(t *testing.T) {
 	}
 	defer p.Close()
 	var out bytes.Buffer
-	res, err := p.RunJob(JobSpec{
-		Prog:   poolProg(t),
+	res, err := p.RunJob(poolProg(t), Config{
 		Params: map[string]int{"n": 12},
 		Seg:    bytecode.DefaultSegConfig(3),
 		Output: &out,
@@ -64,6 +64,33 @@ func TestPoolSingleJob(t *testing.T) {
 	}
 	if got := res.Scalars["e"]; !closeE(got, want) {
 		t.Errorf("pool e = %.15g, want %.15g", got, want)
+	}
+	if res.Elapsed <= 0 {
+		t.Errorf("pool job Elapsed = %v, want > 0", res.Elapsed)
+	}
+
+	// The pool owns the world-level fields: a job asking for 99 workers,
+	// no recovery, and its own scratch directory still runs on the pool's
+	// membership with recovery forced on (checkpointing requires it) and
+	// writes nothing outside the pool's scratch.
+	foreign := t.TempDir()
+	res, err = p.RunJob(poolProg(t), Config{
+		Workers:      99,
+		Recover:      false,
+		ScratchDir:   foreign,
+		CkptInterval: 1,
+		Params:       map[string]int{"n": 12},
+		Seg:          bytecode.DefaultSegConfig(3),
+		Output:       &out,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Scalars["e"]; !closeE(got, want) {
+		t.Errorf("pool e with foreign world fields = %.15g, want %.15g", got, want)
+	}
+	if ents, err := os.ReadDir(foreign); err != nil || len(ents) != 0 {
+		t.Errorf("job wrote to its own ScratchDir: %v (err %v)", ents, err)
 	}
 }
 
@@ -94,8 +121,7 @@ func TestPoolConcurrentJobsIsolated(t *testing.T) {
 			defer wg.Done()
 			n := sizes[i%len(sizes)]
 			var out bytes.Buffer
-			res, err := p.RunJob(JobSpec{
-				Prog:   prog,
+			res, err := p.RunJob(prog, Config{
 				Params: map[string]int{"n": n},
 				Seg:    bytecode.DefaultSegConfig(3),
 				Output: &out,
@@ -144,8 +170,7 @@ func TestPoolKillAndJoin(t *testing.T) {
 	prog := poolProg(t)
 	run := func() (float64, error) {
 		var out bytes.Buffer
-		res, err := p.RunJob(JobSpec{
-			Prog:   prog,
+		res, err := p.RunJob(prog, Config{
 			Params: map[string]int{"n": 12},
 			Seg:    bytecode.DefaultSegConfig(3),
 			Output: &out,
@@ -202,8 +227,11 @@ func TestPoolKillAndJoin(t *testing.T) {
 }
 
 // TestPoolRejectsAfterClose: RunJob, Kill, and Join all fail cleanly on
-// a closed pool.
+// a closed pool, and NewPool rejects a config Run would reject.
 func TestPoolRejectsAfterClose(t *testing.T) {
+	if _, err := NewPool(PoolConfig{Workers: 1, Servers: 2, Replicas: -2}); err == nil {
+		t.Error("NewPool accepted Replicas = -2")
+	}
 	p, err := NewPool(PoolConfig{Workers: 1, Output: &bytes.Buffer{}})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +242,7 @@ func TestPoolRejectsAfterClose(t *testing.T) {
 	if err := p.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := p.RunJob(JobSpec{Prog: poolProg(t)}); err == nil {
+	if _, err := p.RunJob(poolProg(t), Config{}); err == nil {
 		t.Error("RunJob on closed pool succeeded")
 	}
 	if err := p.Kill(1, "x"); err == nil {

@@ -11,17 +11,14 @@ import (
 // state, not on any program.
 func replicaRuntime(t *testing.T, workers, servers, replicas int, recover bool) *runtime {
 	t.Helper()
-	cfg := Config{Workers: workers, Servers: servers, Replicas: replicas, Recover: recover}
+	cfg := Config{Workers: workers, Servers: servers, Replicas: replicas, Recover: recover, ScratchDir: t.TempDir()}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	rt := &runtime{
-		cfg:     cfg,
-		world:   mpi.NewWorld(1 + workers + servers),
-		workers: workers,
-		servers: servers,
+	rt, _, err := newRuntime(nil, cfg, mpi.NewWorld(1+workers+servers))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rt.initRanks()
 	if recover {
 		rt.world.SetRecover(rt.criticalRanks()...)
 	}

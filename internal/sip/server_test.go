@@ -28,21 +28,15 @@ endsial
 // without running any ranks, so cache mechanics can be driven directly.
 func testIOServer(t *testing.T, capacity int) *ioServer {
 	t.Helper()
-	cfg := Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(2)}
+	cfg := Config{Workers: 1, Servers: 1, Seg: bytecode.DefaultSegConfig(2), ScratchDir: t.TempDir()}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	prog, layout := layoutFor(t, tinySrvProgram, cfg)
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    prog,
-		layout:  layout,
-		world:   mpi.NewWorld(3),
-		workers: 1,
-		servers: 1,
-		scratch: t.TempDir(),
+	prog, _ := layoutFor(t, tinySrvProgram, cfg)
+	rt, _, err := newRuntime(prog, cfg, mpi.NewWorld(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rt.initRanks()
 	s := newIOServer(rt, 2)
 	s.capacity = capacity
 	if err := os.MkdirAll(s.dir, 0o755); err != nil { // run() normally does this

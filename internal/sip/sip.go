@@ -21,6 +21,14 @@
 //
 // Rank layout: rank 0 is the master, ranks 1..W are workers, and ranks
 // W+1..W+S are I/O servers.
+//
+// Every run goes through one lifecycle: newRuntime builds the state the
+// ranks share and runtime.play runs any subset of them in this process,
+// scans their errors and folds their profiles.  Its three entry points
+// differ only in the ranks they play: Run plays all of them over a fresh
+// in-process world, RunRank plays one rank of a multi-process world, and
+// Pool.RunJob plays a job's master and workers over the pool's shared
+// world.
 package sip
 
 import (
@@ -222,24 +230,6 @@ type Config struct {
 	// post-mortem JSON bundle (every reachable rank's last metrics and
 	// trace spans, plus the diagnosis) is written there.
 	FlightDir string
-	// Job is this run's identifier inside a shared pool world
-	// (sial serve).  0 — the default — is the batch path with the
-	// historical un-strided message tags and un-prefixed block keys.
-	// A positive Job strides every tag the job's master and workers use
-	// by Job*jobTagStride and prefixes every block key (worker stores,
-	// served arrays, effect sequences, replica placement) with the job
-	// id, isolating concurrent jobs end to end.
-	Job int
-	// WorkerRanks lists the world ranks acting as this job's workers, in
-	// worker-index order.  Empty means the contiguous batch layout
-	// 1..Workers.  A pool snapshots its live membership here at
-	// admission, so jobs admitted after a rank join can include the
-	// newcomer while running jobs keep their original group.
-	WorkerRanks []int
-	// ServerRanks lists the world ranks acting as I/O servers for this
-	// job.  Empty means the contiguous batch layout
-	// Workers+1..Workers+Servers.
-	ServerRanks []int
 	// Gate, when non-nil, arbitrates chunk dispatch between concurrent
 	// jobs (see ChunkGate).  Nil means unconstrained guided
 	// self-scheduling, the batch behavior.
@@ -335,15 +325,6 @@ func (c *Config) fill() error {
 	if c.Integrals == nil {
 		c.Integrals = DefaultIntegrals
 	}
-	if c.Job < 0 {
-		return fmt.Errorf("sip: Job = %d, need >= 0", c.Job)
-	}
-	if len(c.WorkerRanks) != 0 && len(c.WorkerRanks) != c.Workers {
-		return fmt.Errorf("sip: WorkerRanks lists %d ranks for %d workers", len(c.WorkerRanks), c.Workers)
-	}
-	if len(c.ServerRanks) != 0 && len(c.ServerRanks) != c.Servers {
-		return fmt.Errorf("sip: ServerRanks lists %d ranks for %d servers", len(c.ServerRanks), c.Servers)
-	}
 	if c.CkptInterval < 0 {
 		return fmt.Errorf("sip: CkptInterval = %d, need >= 0", c.CkptInterval)
 	}
@@ -395,19 +376,14 @@ type runtime struct {
 	workers int
 	servers int
 
-	// job and tagBase stride this run's message tags inside a shared
-	// pool world; both are zero on the batch path (see jobTagStride).
-	job     int
-	tagBase int
-
-	// pooled marks a run multiplexed over a shared pool world.  Pool
-	// ranks are in-process goroutines that never die silently — real
-	// deaths arrive as explicit World.Evict calls (Pool.Kill, liveness)
-	// — so silence-based failure diagnosis is disabled: a rank that is
-	// merely slow (wedged on another job's lost block, parked by the
-	// fairness gate) must not be evicted from, or fail, the world every
-	// tenant shares.
-	pooled bool
+	// job is this run's identifier inside a shared pool world: zero on
+	// the batch path, with the historical un-strided message tags and
+	// un-prefixed block keys.  A pool sets a positive job id, which
+	// strides every tag the job's master and workers use (see
+	// jobTagStride) and prefixes every block key (worker stores, served
+	// arrays, effect sequences, replica placement), isolating concurrent
+	// jobs end to end.
+	job int
 
 	// workerList and serverList map worker/server indexes to world
 	// ranks.  On the batch path they are the contiguous 1..W and
@@ -422,11 +398,26 @@ type runtime struct {
 	tracer  *obs.Tracer   // nil when span tracing is disabled
 	metrics *obs.Registry // nil when metrics are disabled
 
+	started time.Time // construction time; Result.Elapsed measures from here
+
 	outMu sync.Mutex
 }
 
+// tagBase is the first tag of this run's job tag space.
+func (rt *runtime) tagBase() int { return rt.job * jobTagStride }
+
 // tag offsets a base message tag into this run's job tag space.
-func (rt *runtime) tag(t int) int { return rt.tagBase + t }
+func (rt *runtime) tag(t int) int { return rt.tagBase() + t }
+
+// inPool reports whether this run is a job multiplexed over a shared
+// pool world.  Pool ranks are in-process goroutines that never die
+// silently — real deaths arrive as explicit World.Evict calls (Pool.Kill,
+// liveness) — so silence-based failure diagnosis is disabled: a rank
+// that is merely slow (wedged on another job's lost block, parked by the
+// fairness gate) must not be evicted from, or fail, the world every
+// tenant shares.  Nor may one tenant's failure poison the world or its
+// worker group.
+func (rt *runtime) inPool() bool { return rt.job != 0 }
 
 // cancelRequested reports whether the run's cancel channel has fired.
 // It never blocks; a run without a cancel channel is never canceled.
@@ -439,28 +430,6 @@ func (rt *runtime) cancelRequested() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// initRanks fills job/tagBase/workerList/serverList from the config.
-func (rt *runtime) initRanks() {
-	rt.job = rt.cfg.Job
-	rt.tagBase = rt.job * jobTagStride
-	if len(rt.cfg.WorkerRanks) == rt.workers && rt.workers > 0 {
-		rt.workerList = append([]int(nil), rt.cfg.WorkerRanks...)
-	} else {
-		rt.workerList = make([]int, rt.workers)
-		for i := range rt.workerList {
-			rt.workerList[i] = 1 + i
-		}
-	}
-	if len(rt.cfg.ServerRanks) == rt.servers && rt.servers > 0 {
-		rt.serverList = append([]int(nil), rt.cfg.ServerRanks...)
-	} else {
-		rt.serverList = make([]int, rt.servers)
-		for i := range rt.serverList {
-			rt.serverList[i] = 1 + rt.workers + i
-		}
 	}
 }
 
@@ -610,77 +579,135 @@ func (rt *runtime) homeServer(arr, ord int) int {
 // Run compiles nothing: it executes an already compiled program under the
 // given configuration and returns the result.
 func Run(prog *bytecode.Program, cfg Config) (*Result, error) {
-	started := time.Now()
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+	ranks := NewRanks(cfg)
+	rt, cleanup, err := newRuntime(prog, cfg, mpi.NewWorld(ranks.N))
 	if err != nil {
 		return nil, err
 	}
-	scratch := cfg.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "sip-scratch-")
-		if err != nil {
-			return nil, fmt.Errorf("sip: scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
+	defer cleanup()
+	rt.ownWorld()
+	return rt.play(rankRange(0, ranks.N)...)
+}
 
-	nRanks := 1 + cfg.Workers + cfg.Servers
-	rt := &runtime{
-		cfg:     cfg,
-		prog:    prog,
-		layout:  layout,
-		world:   mpi.NewWorld(nRanks),
-		workers: cfg.Workers,
-		servers: cfg.Servers,
-		scratch: scratch,
-		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
+// rankRange returns the n consecutive world ranks first, first+1, ...
+func rankRange(first, n int) []int {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = first + i
 	}
-	rt.initRanks()
-	if cfg.Recover {
+	return ranks
+}
+
+// newRuntime builds the state shared by the ranks of one run of prog
+// over world, under an already filled cfg, in the batch layout: rank 0
+// is the master, ranks 1..W the workers and W+1..W+S the I/O servers.
+// A pool job then sets its job id and membership snapshot; a pool's
+// shared servers run against a base runtime with a nil prog.  An empty
+// cfg.ScratchDir gets a fresh temporary directory, which the returned
+// cleanup removes.
+func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World) (*runtime, func(), error) {
+	rt := &runtime{
+		cfg:        cfg,
+		prog:       prog,
+		world:      world,
+		workers:    cfg.Workers,
+		servers:    cfg.Servers,
+		workerList: rankRange(1, cfg.Workers),
+		serverList: rankRange(1+cfg.Workers, cfg.Servers),
+		scratch:    cfg.ScratchDir,
+		tracer:     cfg.Tracer,
+		metrics:    cfg.Metrics,
+		started:    time.Now(),
+	}
+	if prog != nil {
+		layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+		if err != nil {
+			return nil, nil, err
+		}
+		rt.layout = layout
+	}
+	if rt.scratch != "" {
+		return rt, func() {}, nil
+	}
+	dir, err := os.MkdirTemp("", "sip-scratch-")
+	if err != nil {
+		return nil, nil, fmt.Errorf("sip: scratch dir: %w", err)
+	}
+	rt.scratch = dir
+	return rt, func() { os.RemoveAll(dir) }, nil
+}
+
+// ownWorld applies the run's world-wide settings to a world it owns
+// (Run, RunRank): recovery's critical ranks and the MPI traffic
+// observer.
+func (rt *runtime) ownWorld() {
+	if rt.cfg.Recover {
+		// Worker ranks become evictable; the master and (unless
+		// replicated) the I/O servers stay critical.
 		rt.world.SetRecover(rt.criticalRanks()...)
 	}
-	rt.workerGroup = rt.world.Comm(rt.firstWorker()).GroupOf(rt.workerRanks()...)
-	if cfg.Metrics != nil {
-		rt.world.SetObserver(newMPIStats(cfg.Metrics, nRanks))
+	if rt.metrics != nil {
+		rt.world.SetObserver(newMPIStats(rt.metrics, rt.world.Size()))
+	}
+}
+
+// play runs the given world ranks of the run in this process — the
+// master (rank 0) on the calling goroutine, every worker with its
+// service loop and every I/O server on goroutines of their own — waits
+// for all of them, and folds their outcome into one Result.  It is the
+// one lifecycle behind every entry point: Run plays all ranks, a pool
+// job its master and workers, a pool's shared servers their ranks for
+// the pool's lifetime, and RunRank exactly one rank.
+//
+// The master's Result carries the run's scalars and gathered arrays;
+// without the master, the first played worker's local scalars stand in.
+// The Profile merges the played workers and servers.
+func (rt *runtime) play(ranks ...int) (*Result, error) {
+	var m *master
+	var workers []*worker
+	var servers []*ioServer
+	for _, r := range ranks {
+		switch {
+		case r == 0:
+			m = newMaster(rt)
+		case rt.workerIndexOf(r) >= 0:
+			workers = append(workers, newWorker(rt, r))
+		default:
+			servers = append(servers, newIOServer(rt, r))
+		}
+	}
+	if len(workers) > 0 && !rt.inPool() {
+		rt.workerGroup = rt.world.Comm(workers[0].rank).GroupOf(rt.workerRanks()...)
 	}
 
-	m := newMaster(rt)
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(rt, rt.workerList[i])
-	}
-	servers := make([]*ioServer, cfg.Servers)
-	for i := range servers {
-		servers[i] = newIOServer(rt, rt.serverList[i])
-	}
-
-	errs := make([]error, cfg.Workers)
+	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for i, w := range workers {
 		wg.Add(2)
-		go func(i int, w *worker) {
+		go func() {
 			defer wg.Done()
 			errs[i] = w.run()
-		}(i, w)
-		go func(w *worker) {
+		}()
+		go func() {
 			defer wg.Done()
 			w.serviceLoop()
-		}(w)
+		}()
 	}
-	srvErrs := make([]error, cfg.Servers)
+	srvErrs := make([]error, len(servers))
 	for i, s := range servers {
 		wg.Add(1)
-		go func(i int, s *ioServer) {
+		go func() {
 			defer wg.Done()
 			srvErrs[i] = s.run()
-		}(i, s)
+		}()
 	}
-	res, masterErr := m.run()
+	res, masterErr := &Result{}, error(nil)
+	if m != nil {
+		res, masterErr = m.run()
+	}
 	wg.Wait()
 
 	// Prefer a rank's own failure over the secondary "aborted after
@@ -703,12 +730,12 @@ func Run(prog *bytecode.Program, cfg Config) (*Result, error) {
 		return nil
 	}
 	for i, err := range errs {
-		if err := scan(rt.workerList[i], err); err != nil {
+		if err := scan(workers[i].rank, err); err != nil {
 			return nil, err
 		}
 	}
 	for i, err := range srvErrs {
-		if err := scan(rt.serverList[i], err); err != nil {
+		if err := scan(servers[i].rank, err); err != nil {
 			return nil, err
 		}
 	}
@@ -719,14 +746,21 @@ func Run(prog *bytecode.Program, cfg Config) (*Result, error) {
 		return nil, abortErr
 	}
 
-	// Scalars were collected by the master from worker 1's doneMsg;
-	// attach the merged profiles.
-	res.Profile = mergeProfiles(workers, servers)
-	if cfg.Metrics != nil {
-		foldRunMetrics(cfg.Metrics, workers, servers)
-		res.Profile.Metrics = cfg.Metrics.Snapshot()
+	if m == nil && len(workers) > 0 {
+		res.Scalars = map[string]float64{}
+		for i, s := range rt.prog.Scalars {
+			res.Scalars[s.Name] = workers[0].scalars[i]
+		}
 	}
-	res.Elapsed = time.Since(started)
+	// A lone master has no profile of its own, only the run's metrics.
+	if len(workers)+len(servers) > 0 || rt.metrics != nil {
+		res.Profile = mergeProfiles(workers, servers)
+	}
+	if rt.metrics != nil {
+		foldRunMetrics(rt.metrics, workers, servers)
+		res.Profile.Metrics = rt.metrics.Snapshot()
+	}
+	res.Elapsed = time.Since(rt.started)
 	return res, nil
 }
 

@@ -624,7 +624,7 @@ func (m *master) rehydrate(man *ckptManifest) error {
 		if cancel() || d <= 0 {
 			continue
 		}
-		if misses++; misses >= attempts && !rt.pooled {
+		if misses++; misses >= attempts && !rt.inPool() {
 			return fmt.Errorf("sip: resume: no rehydration ack within %v (still owed %d)",
 				time.Duration(attempts)*d, total)
 		}

@@ -241,7 +241,7 @@ func (w *worker) run() (err error) {
 				// rank — typically one already evicted by Pool.Kill, whose
 				// distributed blocks died with it — is the pool's business,
 				// not this job's.
-				if !errors.Is(err, mpi.ErrAborted) && !w.rt.pooled {
+				if !errors.Is(err, mpi.ErrAborted) && !w.rt.inPool() {
 					w.rt.world.Fail(rf.Rank, rf.Reason)
 				}
 				d.failRank, d.failReason = rf.Rank, rf.Reason
@@ -250,7 +250,7 @@ func (w *worker) run() (err error) {
 			// failed job must not poison the pool's worker group.  Its
 			// own syncs are master-mediated (pool jobs always run with
 			// Recover), so the done report is enough to unwind it.
-			if w.rt.job == 0 {
+			if !w.rt.inPool() {
 				w.rt.workerGroup.Poison()
 			}
 			w.comm.Send(0, w.rt.tag(tagDone), d)
@@ -1036,7 +1036,7 @@ func (w *worker) waitServedBlock(e *cacheEntry) error {
 						break
 					}
 				}
-				if silent && !w.rt.pooled {
+				if silent && !w.rt.inPool() {
 					// Outside a pool, silence is the only death signal, so
 					// the reader evicts and fails over.  Pool servers die by
 					// explicit eviction only (see master.recvAny): a slow
