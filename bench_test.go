@@ -271,7 +271,7 @@ func BenchmarkMP2EndToEnd(b *testing.B) {
 // 2 x 2,500^3 floating point operations" per 4-index block pair).
 func BenchmarkContraction(b *testing.B) {
 	spec := block.Spec{A: []int{0, 1, 2, 3}, B: []int{2, 3, 4, 5}, C: []int{0, 1, 4, 5}}
-	for _, seg := range []int{6, 10, 14} {
+	for _, seg := range []int{6, 10, 14, 20} {
 		b.Run(fmt.Sprintf("seg=%d", seg), func(b *testing.B) {
 			x := block.New(seg, seg, seg, seg)
 			y := block.New(seg, seg, seg, seg)
@@ -292,7 +292,7 @@ func BenchmarkContraction(b *testing.B) {
 
 // BenchmarkGemm measures the pure-Go DGEMM substitute.
 func BenchmarkGemm(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
+	for _, n := range []int{64, 128, 256, 400} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			x := make([]float64, n*n)
 			y := make([]float64, n*n)

@@ -107,9 +107,12 @@ func labelPositions(labels []int) map[int]int {
 // Contract computes the contraction of a and b described by spec and
 // returns the result.  The ranks of a, b and the label lists must match.
 //
-// Implementation follows the paper (§III footnote 3): permute the
-// operands so the contraction becomes a single matrix multiply, call
-// GEMM, and permute the product into the requested output order.
+// Implementation follows the paper (§III footnote 3): the contraction
+// becomes a single matrix multiply whose product is permuted into the
+// requested output order.  The paper permutes the operands into GEMM
+// order first; here GEMM reads each operand in place through a
+// linalg.Matrix view that groups its axes into free and contracted
+// labels, so no operand is copied.
 func Contract(spec Spec, a, b *Block) (*Block, error) {
 	if len(spec.A) != a.Rank() {
 		return nil, fmt.Errorf("block: spec A rank %d != block rank %d", len(spec.A), a.Rank())
@@ -129,30 +132,18 @@ func Contract(spec Spec, a, b *Block) (*Block, error) {
 				i, a.dims[i], j, b.dims[j])
 		}
 	}
-	// Permute A to [freeA..., contracted...] and B to [contracted..., freeB...].
-	// Operands already in GEMM order (e.g. plain matrix multiply, or the
-	// common case of leading free / trailing contracted labels) are used
-	// in place: an identity permutation would copy the whole block for
-	// nothing.
-	aperm := append(append([]int{}, p.freeA...), p.contractedA...)
-	bperm := append(append([]int{}, p.contractedB...), p.freeB...)
-	ap, bp := a, b
-	if !IdentityPerm(aperm) {
-		ap = a.Permute(aperm)
-	}
-	if !IdentityPerm(bperm) {
-		bp = b.Permute(bperm)
-	}
+	// A is the matrix [freeA..., contracted...] and B is
+	// [contracted..., freeB...], each over its block's own storage.
+	am := a.matrix(p.freeA, p.contractedA)
+	bm := b.matrix(p.contractedB, p.freeB)
 
 	m := prodDims(a.dims, p.freeA)
-	k := prodDims(a.dims, p.contractedA)
 	n := prodDims(b.dims, p.freeB)
-
 	raw := make([]float64, m*n)
-	// GemmAuto exploits thread-level parallelism for large blocks, one
+	// GemmMatrix exploits thread-level parallelism for large blocks, one
 	// of the kernel-tuning options the paper reserves for super
 	// instructions (§V-A).
-	linalg.GemmAuto(m, n, k, 1, ap.data, bp.data, 0, raw)
+	linalg.GemmMatrix(1, am, bm, 0, raw)
 
 	rawDims := make([]int, 0, len(p.freeA)+len(p.freeB))
 	for _, i := range p.freeA {
@@ -161,11 +152,27 @@ func Contract(spec Spec, a, b *Block) (*Block, error) {
 	for _, j := range p.freeB {
 		rawDims = append(rawDims, b.dims[j])
 	}
-	rawBlock := FromData(raw, rawDims...)
+	rawBlock := &Block{dims: rawDims, data: raw}
 	if IdentityPerm(p.outPerm) {
 		return rawBlock, nil
 	}
 	return rawBlock.Permute(p.outPerm), nil
+}
+
+// matrix views b as the matrix whose row index runs over its dimensions
+// at positions rows and whose column index runs over those at cols.
+func (b *Block) matrix(rows, cols []int) linalg.Matrix {
+	ax := make([]linalg.Axis, 0, len(rows)+len(cols))
+	for _, group := range [2][]int{rows, cols} {
+		for _, i := range group {
+			stride := 1
+			for _, d := range b.dims[i+1:] {
+				stride *= d
+			}
+			ax = append(ax, linalg.Axis{Len: b.dims[i], Stride: stride})
+		}
+	}
+	return linalg.Matrix{Data: b.data, Rows: ax[:len(rows)], Cols: ax[len(rows):]}
 }
 
 // IdentityPerm reports whether perm maps every position to itself, i.e.
@@ -258,7 +265,9 @@ func ContractNaive(spec Spec, a, b *Block) (*Block, error) {
 					aIdx[i] = kIdx[x]
 					bIdx[p.contractedB[x]] = kIdx[x]
 				}
-				sum += a.At(aIdx...) * b.At(bIdx...)
+				// Rounding the product before the add (no FMA) is the
+				// order Contract's GEMM uses, so the two agree exactly.
+				sum += float64(a.At(aIdx...) * b.At(bIdx...))
 				x := len(kIdx) - 1
 				for ; x >= 0; x-- {
 					kIdx[x]++

@@ -96,66 +96,96 @@ func TestContractFullContraction(t *testing.T) {
 	}
 }
 
+// TestContractVsNaiveProperty checks Contract against ContractNaive on
+// random specs with labels in random positions.  The two sum every
+// element in the same order, so they must agree exactly.
 func TestContractVsNaiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Build a random valid spec: nA, nB ranks; some shared labels.
-		nShared := rng.Intn(3)
-		nFreeA := rng.Intn(3)
-		nFreeB := rng.Intn(3)
-		if nShared+nFreeA == 0 || nShared+nFreeB == 0 {
-			return true // skip rank-0 operands
-		}
-		label := 0
-		var shared, freeA, freeB []int
-		for i := 0; i < nShared; i++ {
-			shared = append(shared, label)
-			label++
-		}
-		for i := 0; i < nFreeA; i++ {
-			freeA = append(freeA, label)
-			label++
-		}
-		for i := 0; i < nFreeB; i++ {
-			freeB = append(freeB, label)
-			label++
-		}
-		// Interleave labels in random positions per operand.
-		aLabels := append(append([]int{}, freeA...), shared...)
-		bLabels := append(append([]int{}, freeB...), shared...)
-		rng.Shuffle(len(aLabels), func(i, j int) { aLabels[i], aLabels[j] = aLabels[j], aLabels[i] })
-		rng.Shuffle(len(bLabels), func(i, j int) { bLabels[i], bLabels[j] = bLabels[j], bLabels[i] })
-		cLabels := append(append([]int{}, freeA...), freeB...)
-		rng.Shuffle(len(cLabels), func(i, j int) { cLabels[i], cLabels[j] = cLabels[j], cLabels[i] })
-
-		extent := map[int]int{}
-		for _, l := range append(append(append([]int{}, shared...), freeA...), freeB...) {
-			extent[l] = 1 + rng.Intn(4)
-		}
-		adims := make([]int, len(aLabels))
-		for i, l := range aLabels {
-			adims[i] = extent[l]
-		}
-		bdims := make([]int, len(bLabels))
-		for i, l := range bLabels {
-			bdims[i] = extent[l]
-		}
-		a := randBlock(rng, adims...)
-		b := randBlock(rng, bdims...)
-		spec := Spec{A: aLabels, B: bLabels, C: cLabels}
-		got, err := Contract(spec, a, b)
-		if err != nil {
-			return false
-		}
-		want, err := ContractNaive(spec, a, b)
-		if err != nil {
-			return false
-		}
-		return blocksAlmostEqual(got, want, 1e-10)
+		return contractMatchesNaive(rng, rng.Intn(3), func(bool) int { return 1 + rng.Intn(4) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestContractVsNaiveDeep is TestContractVsNaiveProperty with two
+// contracted labels of extent 17..24, so the contracted dimension
+// (k >= 289) spans several of the GEMM kernel's packed panels.
+func TestContractVsNaiveDeep(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		return contractMatchesNaive(rng, 2, func(shared bool) int {
+			if shared {
+				return 17 + rng.Intn(8)
+			}
+			return 1 + rng.Intn(4)
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// contractMatchesNaive builds a random contraction with nShared summed
+// labels and up to two free labels per operand, each label's extent
+// drawn from extent(shared), and reports whether Contract and
+// ContractNaive give bit-identical results.
+func contractMatchesNaive(rng *rand.Rand, nShared int, extent func(shared bool) int) bool {
+	nFreeA := rng.Intn(3)
+	nFreeB := rng.Intn(3)
+	if nShared+nFreeA == 0 || nShared+nFreeB == 0 {
+		return true // skip rank-0 operands
+	}
+	label := 0
+	var shared, freeA, freeB []int
+	for i := 0; i < nShared; i++ {
+		shared = append(shared, label)
+		label++
+	}
+	for i := 0; i < nFreeA; i++ {
+		freeA = append(freeA, label)
+		label++
+	}
+	for i := 0; i < nFreeB; i++ {
+		freeB = append(freeB, label)
+		label++
+	}
+	// Interleave labels in random positions per operand.
+	aLabels := append(append([]int{}, freeA...), shared...)
+	bLabels := append(append([]int{}, freeB...), shared...)
+	rng.Shuffle(len(aLabels), func(i, j int) { aLabels[i], aLabels[j] = aLabels[j], aLabels[i] })
+	rng.Shuffle(len(bLabels), func(i, j int) { bLabels[i], bLabels[j] = bLabels[j], bLabels[i] })
+	cLabels := append(append([]int{}, freeA...), freeB...)
+	rng.Shuffle(len(cLabels), func(i, j int) { cLabels[i], cLabels[j] = cLabels[j], cLabels[i] })
+
+	ext := map[int]int{}
+	for _, l := range shared {
+		ext[l] = extent(true)
+	}
+	for _, l := range append(append([]int{}, freeA...), freeB...) {
+		ext[l] = extent(false)
+	}
+	adims := make([]int, len(aLabels))
+	for i, l := range aLabels {
+		adims[i] = ext[l]
+	}
+	bdims := make([]int, len(bLabels))
+	for i, l := range bLabels {
+		bdims[i] = ext[l]
+	}
+	a := randBlock(rng, adims...)
+	b := randBlock(rng, bdims...)
+	spec := Spec{A: aLabels, B: bLabels, C: cLabels}
+	got, err := Contract(spec, a, b)
+	if err != nil {
+		return false
+	}
+	want, err := ContractNaive(spec, a, b)
+	if err != nil {
+		return false
+	}
+	return blocksAlmostEqual(got, want, 0)
 }
 
 func TestContractErrors(t *testing.T) {

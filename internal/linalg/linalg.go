@@ -2,10 +2,20 @@
 // SIA super instructions.
 //
 // The paper implements super instructions in Fortran on top of vendor
-// DGEMM.  This package is the pure-Go substitute: a cache-blocked,
-// row-major GEMM plus the transpose and vector helpers the block
+// DGEMM.  This package is the pure-Go substitute: a packed,
+// register-tiled GEMM plus the transpose and vector helpers the block
 // operations need.  Only float64 is supported, matching the paper's
 // double-precision tensors.
+//
+// The GEMM copies kc-deep panels of B into nr-wide column strips and
+// mr-row slivers of A (scaled by alpha) into packed buffers, then runs
+// an mr×nr micro-kernel that keeps its C tile in registers across the
+// panel; partial tiles at the edges take a scalar loop.  Packing reads
+// each operand through per-row and per-column offset tables (Matrix),
+// so an operand whose axes are stored in any order is gathered while
+// it is packed and never permuted into a copy.  Each element of C is
+// still summed in the order of a naive loop, without fused
+// multiply-adds, so every entry point gives bit-identical results.
 package linalg
 
 import (
@@ -13,64 +23,34 @@ import (
 	"math"
 )
 
-// blockSize is the tile edge used by Gemm.  48*48*8 bytes ≈ 18 KiB per
-// tile, so three tiles fit comfortably in a typical L1/L2 cache.
-const blockSize = 48
-
 // Gemm computes C = alpha*A*B + beta*C for row-major matrices:
 // A is m×k, B is k×n, C is m×n.  It panics if the slice lengths are too
 // small for the given dimensions, since that is always a programming
 // error in the caller.
+//
+// C is first scaled by beta (beta = 0 overwrites it, so NaNs already in
+// C do not survive).  Then every element accumulates
+// c += (alpha*a[i][l])*b[l][j] for l ascending, each product rounded
+// before the add: no fused multiply-add and no reassociation.  Every
+// kernel in this package sums in that order, so Gemm, GemmParallel,
+// GemmAuto and GemmMatrix agree bit for bit with each other and with a
+// naive triple loop in that order.  When k = 0 or alpha = 0, A and B
+// are not read.  Otherwise every product is formed, so a zero in A
+// times an Inf or NaN in B gives NaN in C, as IEEE 754 requires.
 func Gemm(m, n, k int, alpha float64, a []float64, b []float64, beta float64, c []float64) {
+	checkGemm(m, n, k, a, b, c)
+	gemmMatrix(alpha, rowMajor(m, k, a), rowMajor(k, n, b), beta, c, 1)
+}
+
+// checkGemm panics unless a, b and c hold the m×k, k×n and m×n
+// row-major matrices of a Gemm call.
+func checkGemm(m, n, k int, a, b, c []float64) {
 	if m < 0 || n < 0 || k < 0 {
 		panic(fmt.Sprintf("linalg: negative dimension m=%d n=%d k=%d", m, n, k))
 	}
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("linalg: short slice for m=%d n=%d k=%d: len(a)=%d len(b)=%d len(c)=%d",
 			m, n, k, len(a), len(b), len(c)))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	// Scale C by beta first so the accumulation loop can always add.
-	switch beta {
-	case 1:
-	case 0:
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
-	default:
-		for i := range c[:m*n] {
-			c[i] *= beta
-		}
-	}
-	if k == 0 || alpha == 0 {
-		return
-	}
-	// Tiled i-k-j loop: the innermost j loop streams rows of B and C,
-	// which keeps accesses unit-stride in row-major storage.
-	for ii := 0; ii < m; ii += blockSize {
-		iMax := min(ii+blockSize, m)
-		for kk := 0; kk < k; kk += blockSize {
-			kMax := min(kk+blockSize, k)
-			for jj := 0; jj < n; jj += blockSize {
-				jMax := min(jj+blockSize, n)
-				for i := ii; i < iMax; i++ {
-					arow := a[i*k : i*k+k]
-					crow := c[i*n : i*n+n]
-					for l := kk; l < kMax; l++ {
-						av := alpha * arow[l]
-						if av == 0 {
-							continue
-						}
-						brow := b[l*n : l*n+n]
-						for j := jj; j < jMax; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // parallelThreshold is the flop count (2*m*n*k) above which GemmAuto
 // fans the multiply out over goroutines.  Below it the fork/join
@@ -16,39 +13,21 @@ const parallelThreshold = 4 << 20 // ~4 Mflop
 // paper notes super instructions may exploit "thread-level parallelism"
 // within a node (§V-A); this is that option for the contraction kernel.
 func GemmParallel(m, n, k int, alpha float64, a, b []float64, beta float64, c []float64, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		Gemm(m, n, k, alpha, a, b, beta, c)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := m * w / workers
-		hi := m * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			rows := hi - lo
-			Gemm(rows, n, k, alpha, a[lo*k:hi*k], b, beta, c[lo*n:hi*n])
-		}(lo, hi)
-	}
-	wg.Wait()
+	checkGemm(m, n, k, a, b, c)
+	gemmMatrix(alpha, rowMajor(m, k, a), rowMajor(k, n, b), beta, c, max(1, workers))
 }
 
 // GemmAuto dispatches to the serial or parallel kernel by problem size.
 func GemmAuto(m, n, k int, alpha float64, a, b []float64, beta float64, c []float64) {
-	flops := 2 * int64(m) * int64(n) * int64(k)
-	if flops >= parallelThreshold {
-		GemmParallel(m, n, k, alpha, a, b, beta, c, runtime.GOMAXPROCS(0))
-		return
+	checkGemm(m, n, k, a, b, c)
+	gemmMatrix(alpha, rowMajor(m, k, a), rowMajor(k, n, b), beta, c, autoWorkers)
+}
+
+// autoBands is GemmAuto's choice of band count for an m×k by k×n
+// product.
+func autoBands(m, n, k int) int {
+	if 2*int64(m)*int64(n)*int64(k) >= parallelThreshold {
+		return runtime.GOMAXPROCS(0)
 	}
-	Gemm(m, n, k, alpha, a, b, beta, c)
+	return 1
 }

@@ -99,6 +99,13 @@ type cacheEntry struct {
 	b    *block.Block
 	req  *mpi.Request
 	elem *list.Element
+
+	// depth and seq name the loop iteration a get last fetched this
+	// block for: the innermost loop frame's 1-based depth and that
+	// iteration's sequence number (worker.loopIteration).  Zero for
+	// blocks only prefetched.
+	depth int
+	seq   uint64
 }
 
 // poll attempts to complete an in-flight fetch without blocking.
@@ -126,6 +133,11 @@ type blockCache struct {
 	capacity int
 	entries  map[blockKey]*cacheEntry
 	lru      *list.List // front = most recent
+
+	// inUse reports whether an entry holds a block that a get fetched
+	// for a loop iteration still running, which may yet read it.  Nil
+	// protects nothing.
+	inUse func(*cacheEntry) bool
 
 	hits      int64
 	misses    int64
@@ -194,27 +206,28 @@ func (c *blockCache) invalidateAll() {
 	}
 }
 
-// evictIfNeeded enforces the capacity bound, never evicting pending
-// entries (a pending eviction would lose an in-flight reply).
+// evictIfNeeded enforces the capacity bound, evicting least recently
+// used entries.  It never evicts a pending entry (that would lose an
+// in-flight reply), one in use by the current iteration (a prefetch for
+// later iterations must not push out a block fetched for this one), or
+// the entry just inserted at the front.  When nothing else can go, the
+// cache overflows.
 func (c *blockCache) evictIfNeeded() {
 	for len(c.entries) > c.capacity {
-		// Walk from the back (least recently used).
 		el := c.lru.Back()
-		evicted := false
-		for el != nil {
+		for el != nil && el != c.lru.Front() {
 			e := el.Value.(*cacheEntry)
-			prev := el.Prev()
-			if !e.pending() {
-				c.lru.Remove(el)
-				delete(c.entries, e.key)
-				c.evictions++
-				evicted = true
+			if !e.pending() && (c.inUse == nil || !c.inUse(e)) {
 				break
 			}
-			el = prev
+			el = el.Prev()
 		}
-		if !evicted {
-			return // everything pending; let the cache overflow
+		if el == nil || el == c.lru.Front() {
+			return
 		}
+		e := el.Value.(*cacheEntry)
+		c.lru.Remove(el)
+		delete(c.entries, e.key)
+		c.evictions++
 	}
 }

@@ -2,6 +2,7 @@ package sip
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -173,42 +174,77 @@ func TestPaperProgramRandomConfigs(t *testing.T) {
 			GatherArrays:   true,
 			Preset:         map[string]PresetFunc{"T": presetFrom(tElem)},
 		}
-		res, err := RunSource(paperProgram, cfg)
-		if err != nil {
+		if err := checkPaperProgram(t, cfg, norb, nocc); err != nil {
 			t.Logf("seed %d (norb=%d nocc=%d seg=%d workers=%d): %v", seed, norb, nocc, seg, workers, err)
 			return false
-		}
-		prog, _ := compiler.CompileSource(paperProgram)
-		layout, err := prog.Resolve(cfg.Params, cfg.Seg)
-		if err != nil {
-			return false
-		}
-		got := dense(t, layout.Shapes[prog.ArrayID("R")], res.Arrays["R"])
-		pos := 0
-		for m := 1; m <= norb; m++ {
-			for n := 1; n <= norb; n++ {
-				for i := 1; i <= nocc; i++ {
-					for j := 1; j <= nocc; j++ {
-						var sum float64
-						for l := 1; l <= norb; l++ {
-							for s := 1; s <= norb; s++ {
-								sum += vElem([]int{m, n, l, s}) * tElem([]int{l, s, i, j})
-							}
-						}
-						if math.Abs(got[pos]-sum) > 1e-11 {
-							t.Logf("seed %d: R[%d] = %g, want %g", seed, pos, got[pos], sum)
-							return false
-						}
-						pos++
-					}
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrefetchKeepsCurrentBlocks runs the paper program with a cache of
+// two blocks and a prefetch window of two over the grid norb 2..6 ×
+// workers 1..3.  The window's fetches must not evict the T block the
+// current iteration fetched before it reads it ("used without
+// get/request").
+func TestPrefetchKeepsCurrentBlocks(t *testing.T) {
+	for norb := 2; norb <= 6; norb++ {
+		for workers := 1; workers <= 3; workers++ {
+			cfg := Config{
+				Workers:        workers,
+				Params:         map[string]int{"norb": norb, "nocc": 1},
+				Seg:            bytecode.DefaultSegConfig(1),
+				PrefetchWindow: 2,
+				CacheBlocks:    2,
+				GatherArrays:   true,
+				Preset:         map[string]PresetFunc{"T": presetFrom(tElem)},
+			}
+			if err := checkPaperProgram(t, cfg, norb, 1); err != nil {
+				t.Errorf("norb=%d workers=%d: %v", norb, workers, err)
+			}
+		}
+	}
+}
+
+// checkPaperProgram runs the paper's program under cfg and compares R
+// with a direct evaluation of equation (2).
+func checkPaperProgram(t *testing.T, cfg Config, norb, nocc int) error {
+	res, err := RunSource(paperProgram, cfg)
+	if err != nil {
+		return err
+	}
+	prog, err := compiler.CompileSource(paperProgram)
+	if err != nil {
+		return err
+	}
+	layout, err := prog.Resolve(cfg.Params, cfg.Seg)
+	if err != nil {
+		return err
+	}
+	got := dense(t, layout.Shapes[prog.ArrayID("R")], res.Arrays["R"])
+	pos := 0
+	for m := 1; m <= norb; m++ {
+		for n := 1; n <= norb; n++ {
+			for i := 1; i <= nocc; i++ {
+				for j := 1; j <= nocc; j++ {
+					var sum float64
+					for l := 1; l <= norb; l++ {
+						for s := 1; s <= norb; s++ {
+							sum += vElem([]int{m, n, l, s}) * tElem([]int{l, s, i, j})
+						}
+					}
+					if math.Abs(got[pos]-sum) > 1e-11 {
+						return fmt.Errorf("R[%d] = %g, want %g", pos, got[pos], sum)
+					}
+					pos++
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestStressLargerProblem runs the paper program at a size where every

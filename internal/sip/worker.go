@@ -27,7 +27,8 @@ type frame struct {
 	kind    int
 	idx     int // loop index id (do/doIn)
 	cur, hi int
-	startPC int // pc of the loop-start instruction
+	startPC int    // pc of the loop-start instruction
+	seq     uint64 // current iteration's number (do/doIn/pardo; newIteration)
 
 	// pardo state
 	pid     int
@@ -64,6 +65,7 @@ type worker struct {
 	stack    []float64
 	frames   []frame
 	pc       int
+	iterSeq  uint64 // last loop-iteration sequence number (frame.seq)
 
 	temps   map[blockKey]*block.Block
 	locals  map[blockKey]*block.Block
@@ -131,6 +133,7 @@ func newWorker(rt *runtime, rank int) *worker {
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
 		prof:     newProfile(rt.prog),
 	}
+	w.cache.inUse = w.fetchedForLiveIteration
 	if rt.cfg.Recover {
 		w.owedPutAcks = map[int]int{}
 		w.seenPuts = map[uint64]bool{}
@@ -406,11 +409,13 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		}
 		w.frames = append(w.frames, frame{kind: frameDo, idx: in.A, cur: lo, hi: hi, startPC: w.pc})
 		w.bind(in.A, lo)
+		w.newIteration()
 	case bytecode.OpDoEnd:
 		f := &w.frames[len(w.frames)-1]
 		f.cur++
 		if f.cur <= f.hi {
 			w.bind(f.idx, f.cur)
+			w.newIteration()
 			next = f.startPC + 1
 		} else {
 			w.unbind(f.idx)
@@ -429,11 +434,13 @@ func (w *worker) exec(in *bytecode.Instr) error {
 		}
 		w.frames = append(w.frames, frame{kind: frameDoIn, idx: in.A, cur: lo, hi: hi, startPC: w.pc})
 		w.bind(in.A, lo)
+		w.newIteration()
 	case bytecode.OpDoInEnd:
 		f := &w.frames[len(w.frames)-1]
 		f.cur++
 		if f.cur <= f.hi {
 			w.bind(f.idx, f.cur)
+			w.newIteration()
 			next = f.startPC + 1
 		} else {
 			w.unbind(f.idx)
@@ -721,11 +728,40 @@ func (w *worker) bind(id, v int) {
 
 func (w *worker) unbind(id int) { w.idxBound[id] = false }
 
-// setIteration binds the pardo indices to one iteration's values.
+// setIteration binds the pardo indices to one iteration's values.  The
+// pardo's frame must be the innermost.
 func (w *worker) setIteration(pid int, vals []int) {
 	for i, id := range w.rt.prog.Pardos[pid].Indices {
 		w.bind(id, vals[i])
 	}
+	w.newIteration()
+}
+
+// newIteration gives the innermost frame, a loop that has just entered
+// an iteration, a fresh sequence number.  Blocks got for its previous
+// iteration are then no longer protected from cache eviction.
+func (w *worker) newIteration() {
+	w.iterSeq++
+	w.frames[len(w.frames)-1].seq = w.iterSeq
+}
+
+// loopIteration returns the 1-based depth and sequence number of the
+// innermost loop frame's current iteration, or 0, 0 outside any loop.
+func (w *worker) loopIteration() (depth int, seq uint64) {
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		if k := w.frames[i].kind; k == frameDo || k == frameDoIn || k == framePardo {
+			return i + 1, w.frames[i].seq
+		}
+	}
+	return 0, 0
+}
+
+// fetchedForLiveIteration reports whether a get fetched e's block for a
+// loop iteration that is still running.  Sequence numbers are never
+// reused, so a frame at the entry's depth with the entry's number is
+// that same iteration.
+func (w *worker) fetchedForLiveIteration(e *cacheEntry) bool {
+	return e.depth > 0 && e.depth <= len(w.frames) && w.frames[e.depth-1].seq == e.seq
 }
 
 // clearTemps recycles all per-iteration temp blocks into the block pool
@@ -1139,11 +1175,13 @@ func (w *worker) doGet(ref bytecode.Ref, prefetch bool) error {
 	if err != nil {
 		return err
 	}
-	if e := w.cache.lookup(loc.key); e != nil {
+	e := w.cache.lookup(loc.key)
+	if e != nil {
 		e.poll()
-	} else if _, err := w.startFetch(ref.Arr, loc); err != nil {
+	} else if e, err = w.startFetch(ref.Arr, loc); err != nil {
 		return err
 	}
+	e.depth, e.seq = w.loopIteration()
 	if prefetch && w.rt.cfg.PrefetchWindow > 0 {
 		w.prefetchAhead(ref)
 	}
@@ -1804,9 +1842,10 @@ func (w *worker) installState(st *workerState) {
 	copy(w.pardoGen, st.pardoGen)
 	w.frames = w.frames[:0]
 	for _, f := range st.frames {
+		w.iterSeq++
 		w.frames = append(w.frames, frame{kind: f.kind, idx: f.idx, cur: f.cur,
 			hi: f.hi, startPC: f.startPC, exitPC: f.exitPC, retPC: f.retPC,
-			procID: f.procID, started: time.Now()})
+			procID: f.procID, started: time.Now(), seq: w.iterSeq})
 	}
 	w.cache.invalidateAll()
 }
