@@ -3,9 +3,12 @@ package chem
 import (
 	"errors"
 	"math"
+	"os"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/block"
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/ga"
@@ -122,6 +125,49 @@ func TestMP2SIPMatchesReference(t *testing.T) {
 	}
 	if want >= 0 {
 		t.Fatalf("MP2 correlation energy should be negative, got %g", want)
+	}
+}
+
+// TestMP2RunCreatesNoScratch: a run whose program has no served arrays,
+// no blocks_to_list/list_to_blocks and no snapshots never touches disk,
+// so it must not create (and pay for) a scratch directory.  TMPDIR is
+// inspected mid-run, from the super instruction, because a scratch
+// directory would already be removed again when the run returns.
+func TestMP2RunCreatesNoScratch(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	super := MP2Super()
+	denom := super["mp2_denom"]
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	super["mp2_denom"] = func(ctx *sip.ExecCtx, blocks []*block.Block, scalars []*float64) error {
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		for _, e := range entries {
+			seen[e.Name()] = true
+		}
+		mu.Unlock()
+		return denom(ctx, blocks, scalars)
+	}
+	const no, nv = 4, 6
+	res, err := sip.RunSource(MP2EnergyProgram(), sip.Config{
+		Workers:   3,
+		Params:    map[string]int{"no": no, "nv": nv},
+		Seg:       bytecode.DefaultSegConfig(2),
+		Integrals: MOIntegrals(no),
+		Super:     super,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MP2Reference(no, nv); math.Abs(res.Scalars["emp2"]-want) > 1e-11*math.Abs(want) {
+		t.Fatalf("MP2 SIP = %.14g, reference = %.14g", res.Scalars["emp2"], want)
+	}
+	for name := range seen {
+		t.Errorf("MP2 run created %s in TMPDIR", name)
 	}
 }
 

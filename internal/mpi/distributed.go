@@ -136,10 +136,14 @@ func (w *World) peerDown(peer int, err error) {
 // ---------------------------------------------------------------------
 // Liveness (heartbeat-based failure detection)
 
-// heartbeatTag is the reserved tag for liveness frames.  Like
-// collectiveTag it is negative so application tags can never collide;
-// heartbeat frames are intercepted before reaching any mailbox, so the
-// tag never surfaces.
+// controlTag is the reserved tag carrying the world's control frames
+// (poison, evict, join and bye notices).  Negative so it can never
+// collide with application tags (reply tags grow upward without bound);
+// the frames are intercepted in deliver, so the tag never surfaces.
+const controlTag = -2
+
+// heartbeatTag is the reserved tag for liveness frames, negative and
+// intercepted like controlTag.
 const heartbeatTag = -3
 
 // heartbeatMsg announces that the sending endpoint — and every rank it
@@ -292,6 +296,16 @@ func (w *World) monitor(l *liveness) {
 	}
 }
 
+// groupPoison aborts the receiving process's world (World.Fail).  It is
+// intercepted by the transport delivery path before reaching any
+// mailbox.  A frame with Rank >= 0 also carries the sender's failure
+// diagnosis, which the receiver records (first diagnosis wins) before
+// aborting.
+type groupPoison struct {
+	Rank   int // failed rank, or -1 when the abort has no attributed cause
+	Reason string
+}
+
 // evictNotice tells the receiving world that Rank has been evicted
 // (World.Evict), so every survivor converges on the same degraded
 // membership.  Like poison and heartbeat frames it is intercepted in
@@ -316,15 +330,13 @@ type joinNotice struct {
 	Rank int
 }
 
-// Wire ids for the collective and liveness messages (block 16..31, see
+// Wire ids for the control and liveness messages (block 16..31, see
 // internal/wire).
 const (
-	wireIDGroupContrib = 16
-	wireIDGroupResult  = 17
-	wireIDGroupPoison  = 18
-	wireIDHeartbeat    = 19
-	wireIDEvictNotice  = 20
-	wireIDByeNotice    = 21
+	wireIDGroupPoison = 18
+	wireIDHeartbeat   = 19
+	wireIDEvictNotice = 20
+	wireIDByeNotice   = 21
 	// 22, 23 carry the clock-sync ping/pong (clock.go).
 	wireIDJoinNotice = 24
 )
@@ -349,32 +361,13 @@ func decodeRanks(d *wire.Decoder) []int {
 }
 
 func init() {
-	wire.Register(wireIDGroupContrib,
-		func(e *wire.Encoder, m groupContrib) {
-			e.String(m.Key)
-			e.Int(m.Gen)
-			e.Float64(m.V)
-		},
-		func(d *wire.Decoder) groupContrib {
-			return groupContrib{Key: d.String(), Gen: d.Int(), V: d.Float64()}
-		})
-	wire.Register(wireIDGroupResult,
-		func(e *wire.Encoder, m groupResult) {
-			e.String(m.Key)
-			e.Int(m.Gen)
-			e.Float64(m.V)
-		},
-		func(d *wire.Decoder) groupResult {
-			return groupResult{Key: d.String(), Gen: d.Int(), V: d.Float64()}
-		})
 	wire.Register(wireIDGroupPoison,
 		func(e *wire.Encoder, m groupPoison) {
-			e.String(m.Key)
 			e.Int(m.Rank)
 			e.String(m.Reason)
 		},
 		func(d *wire.Decoder) groupPoison {
-			return groupPoison{Key: d.String(), Rank: d.Int(), Reason: d.String()}
+			return groupPoison{Rank: d.Int(), Reason: d.String()}
 		})
 	wire.Register(wireIDEvictNotice,
 		func(e *wire.Encoder, m evictNotice) {
@@ -413,9 +406,7 @@ func init() {
 		})
 
 	// Fuzz seed corpus: one encoded example per type registered above.
-	wire.Sample(groupContrib{Key: "b:0:7", Gen: 2, V: 1.25})
-	wire.Sample(groupResult{Key: "b:0:7", Gen: 2, V: -3})
-	wire.Sample(groupPoison{Key: "b:0:7", Rank: 1, Reason: "test"})
+	wire.Sample(groupPoison{Rank: 1, Reason: "test"})
 	wire.Sample(evictNotice{Rank: 3, Reason: "liveness"})
 	wire.Sample(byeNotice{Ranks: []int{4, 5}})
 	wire.Sample(joinNotice{Rank: 6})

@@ -90,33 +90,40 @@ func TestDistributedSendRecv(t *testing.T) {
 	})
 }
 
+// TestDistributedAllreduce runs two rounds over each transport, so the
+// float64 reports and results cross the wire.
 func TestDistributedAllreduce(t *testing.T) {
-	transportCases(t, 3, func(t *testing.T, worlds []*World) {
-		sums := make([]float64, 3)
+	transportCases(t, 4, func(t *testing.T, worlds []*World) {
+		members := []int{1, 2, 3}
+		go func() {
+			coordinateRound(worlds[0].Comm(0), members, 10)
+			coordinateRound(worlds[0].Comm(0), members, 10)
+		}()
+		sums := make([]float64, 4)
 		var wg sync.WaitGroup
-		for i := range worlds {
+		for _, r := range members {
 			wg.Add(1)
-			go func(i int) {
+			go func(r int) {
 				defer wg.Done()
-				g := worlds[i].Comm(i).GroupOf(0, 1, 2)
-				// Two rounds, to exercise generation handling.
-				g.AllreduceSum(float64(i))
-				sums[i] = g.AllreduceSum(float64(10 * (i + 1)))
-			}(i)
+				c := worlds[r].Comm(r)
+				joinRound(c, 0, 10, float64(r))
+				sums[r] = joinRound(c, 0, 10, float64(10*r))
+			}(r)
 		}
 		wg.Wait()
-		for i, s := range sums {
-			if s != 60 {
-				t.Errorf("rank %d: allreduce = %g, want 60", i, s)
+		for _, r := range members {
+			if sums[r] != 60 {
+				t.Errorf("rank %d: sum = %g, want 60", r, sums[r])
 			}
 		}
 	})
 }
 
-// TestPoisonWakesBlockedRecv pins the abort contract of the tentpole:
-// Group.Poison must wake a member blocked in Recv (or Request.Wait)
-// promptly on every transport, instead of leaving it deadlocked on a
-// message that will never arrive.
+// TestPoisonWakesBlockedRecv pins the abort contract: World.Fail on one
+// rank must wake a remote rank blocked in Recv (or Request.Wait)
+// promptly on every transport — its poison frame aborts the remote
+// world — instead of leaving it deadlocked on a message that will never
+// arrive.
 func TestPoisonWakesBlockedRecv(t *testing.T) {
 	transportCases(t, 2, func(t *testing.T, worlds []*World) {
 		recvDone := make(chan error, 1)
@@ -140,7 +147,7 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 		})
 		time.Sleep(10 * time.Millisecond) // let both receivers block
 
-		worlds[0].Comm(0).GroupOf(0, 1).Poison()
+		worlds[0].Fail(0, "test")
 
 		for name, ch := range map[string]chan error{"Recv": recvDone, "Wait": waitDone} {
 			select {
@@ -149,14 +156,14 @@ func TestPoisonWakesBlockedRecv(t *testing.T) {
 					t.Errorf("%s returned %v, want ErrAborted panic", name, err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%s still blocked after Poison", name)
+				t.Fatalf("%s still blocked after Fail", name)
 			}
 		}
 	})
 }
 
 // TestPoisonWakesBlockedRecvLocalWorld covers the same contract on the
-// default all-local world (the in-process fast path).
+// default all-local world (the in-process fast path), through Abort.
 func TestPoisonWakesBlockedRecvLocalWorld(t *testing.T) {
 	w := NewWorld(3)
 	done := make(chan error, 1)
@@ -170,14 +177,14 @@ func TestPoisonWakesBlockedRecvLocalWorld(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 
-	w.Comm(1).GroupOf(1, 2).Poison()
+	w.Abort()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("Recv returned %v, want ErrAborted panic", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Recv still blocked after Poison")
+		t.Fatal("Recv still blocked after Abort")
 	}
 }
 
@@ -186,7 +193,7 @@ func TestPoisonWakesBlockedRecvLocalWorld(t *testing.T) {
 func TestPoisonDrainsQueuedMessages(t *testing.T) {
 	w := NewWorld(2)
 	w.Comm(0).Send(1, 5, "before")
-	w.Comm(0).GroupOf(0, 1).Poison()
+	w.Abort()
 	m := w.Comm(1).Recv(0, 5)
 	if m.Data != "before" {
 		t.Fatalf("queued message lost: %+v", m)

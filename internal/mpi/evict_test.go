@@ -78,93 +78,69 @@ func TestEvictWakesRecvUntil(t *testing.T) {
 	}
 }
 
-// TestEvictCompletesCollective: a collective round blocked on a member
-// that dies mid-round must complete over the survivors with the
-// survivors' sum.
+// evictRound runs one round with coordinator rank 0 over members, in
+// which the members in absent never report; evict is called once the
+// round has blocked on them.  It returns each reporting member's sum.
+func evictRound(t *testing.T, comm func(rank int) *Comm, members, absent []int, evict func()) map[int]float64 {
+	t.Helper()
+	skip := map[int]bool{}
+	for _, r := range absent {
+		skip[r] = true
+	}
+	go coordinateRound(comm(0), members, 10)
+	var mu sync.Mutex
+	sums := map[int]float64{}
+	var wg sync.WaitGroup
+	for _, r := range members {
+		if skip[r] {
+			continue
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			s := joinRound(comm(r), 0, 10, float64(r))
+			mu.Lock()
+			sums[r] = s
+			mu.Unlock()
+		}(r)
+	}
+	time.Sleep(20 * time.Millisecond) // let the round block on the absent
+	evict()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("round still blocked after evicting the missing member")
+	}
+	return sums
+}
+
+// TestEvictCompletesCollective: a round blocked on a member that dies
+// mid-round must complete over the survivors with the survivors' sum,
+// across distributed worlds.
 func TestEvictCompletesCollective(t *testing.T) {
-	worlds := recoverWorlds(t, 4)
-	var wg sync.WaitGroup
-	sums := make([]float64, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := worlds[i].Comm(i).GroupOf(0, 1, 2, 3)
-			sums[i] = g.AllreduceSum(float64(i + 1)) // rank 3 never joins
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the round block on rank 3
-	worlds[0].Evict(3, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("collective still blocked after evicting the missing member")
-	}
-	for i, s := range sums {
-		if s != 6 { // 1+2+3, rank 3's contribution never existed
-			t.Errorf("rank %d: degraded allreduce = %g, want 6", i, s)
+	worlds := recoverWorlds(t, 5)
+	comm := func(r int) *Comm { return worlds[r].Comm(r) }
+	sums := evictRound(t, comm, []int{1, 2, 3, 4}, []int{4},
+		func() { worlds[0].Evict(4, "test") })
+	for r, s := range sums {
+		if s != 6 { // 1+2+3, rank 4's contribution never existed
+			t.Errorf("rank %d: degraded sum = %g, want 6", r, s)
 		}
 	}
 }
 
-// TestEvictRootReelection: when the group root dies mid-round, the
-// surviving members must re-elect the next live member and finish.
-func TestEvictRootReelection(t *testing.T) {
-	worlds := recoverWorlds(t, 4)
-	var wg sync.WaitGroup
-	sums := make([]float64, 4)
-	for _, i := range []int{2, 3} {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := worlds[i].Comm(i).GroupOf(1, 2, 3)
-			sums[i] = g.AllreduceSum(float64(10 * i)) // root rank 1 never joins
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // members block on the dead root
-	worlds[2].Evict(1, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("collective still blocked after evicting the root")
-	}
-	for _, i := range []int{2, 3} {
-		if sums[i] != 50 {
-			t.Errorf("rank %d: re-elected allreduce = %g, want 50", i, sums[i])
-		}
-	}
-}
-
-// TestEvictCompletesSharedGroup covers the in-process (shared-memory)
-// group implementation: evicting the straggler completes the round.
+// TestEvictCompletesSharedGroup covers the in-process (all-local)
+// world: evicting the straggler completes the round.
 func TestEvictCompletesSharedGroup(t *testing.T) {
-	w := NewWorld(3)
+	w := NewWorld(4)
 	w.SetRecover(0)
-	var wg sync.WaitGroup
-	sums := make([]float64, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sums[i] = w.Comm(i).GroupOf(0, 1, 2).AllreduceSum(float64(i + 1))
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	w.Evict(2, "test")
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("shared group still blocked after eviction")
-	}
-	for i, s := range sums {
+	sums := evictRound(t, w.Comm, []int{1, 2, 3}, []int{3},
+		func() { w.Evict(3, "test") })
+	for r, s := range sums {
 		if s != 3 {
-			t.Errorf("rank %d: shared degraded allreduce = %g, want 3", i, s)
+			t.Errorf("rank %d: degraded sum = %g, want 3", r, s)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package mpi provides an in-process message-passing layer with MPI-like
-// semantics: ranks, tagged asynchronous point-to-point messages with
-// source/tag matching and wildcards, barriers, and reductions.
+// semantics: ranks and tagged asynchronous point-to-point messages with
+// source/tag matching and wildcards.
 //
 // The SIP runtime (paper §V) is written against MPI; this package is the
 // substitution that lets the whole runtime — block protocol, prefetching,
@@ -14,8 +14,12 @@
 //   - Receives match on (source, tag), either exact or the AnySource /
 //     AnyTag wildcards, and preserve per-sender FIFO order among
 //     matching messages.
-//   - Barriers and reductions operate over explicit rank groups, like
-//     MPI communicators.
+//
+// The package has no collectives: the SIP's barriers and reductions are
+// rounds its master mediates over point-to-point messages.  What a world
+// adds beyond messaging is failure handling: Abort and Fail wake every
+// blocked receiver, Evict and Join change the membership of a running
+// world, and StartLiveness detects silent remote ranks.
 package mpi
 
 import (
@@ -62,7 +66,6 @@ type World struct {
 	boxes   []*mailbox // nil entries are remote ranks
 	local   []int      // locally hosted ranks, in rank order
 	obs     Observer
-	groups  sync.Map // map[string]Group, keyed by rank-set signature
 	tr      transport.Transport
 	closed  atomic.Bool
 	aborted atomic.Bool
@@ -551,24 +554,19 @@ func (mb *mailbox) probe(src, tag int) bool {
 	return false
 }
 
-// ErrAborted is the panic value delivered to collective operations on a
-// poisoned group and to receives on an aborted world.  Callers that
-// poison a group should recover it.
-var ErrAborted = fmt.Errorf("mpi: group aborted")
+// ErrAborted is the panic value delivered to receives on an aborted
+// world.  Code that aborts a world it also receives on should recover
+// it.
+var ErrAborted = fmt.Errorf("mpi: world aborted")
 
 // Abort poisons the world: every locally hosted mailbox wakes its
 // blocked receivers with ErrAborted (after draining already-delivered
-// matches), and every group created through GroupOf is poisoned.  It is
-// idempotent and safe to call from any goroutine; transports call it
-// when a peer connection dies.
+// matches).  It is idempotent and safe to call from any goroutine;
+// transports call it when a peer connection dies.
 func (w *World) Abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	w.groups.Range(func(_, v any) bool {
-		v.(Group).Poison()
-		return true
-	})
 	for _, box := range w.boxes {
 		if box != nil {
 			box.abort()
@@ -607,7 +605,7 @@ func (w *World) Fail(rank int, reason string) {
 		for r, box := range w.boxes {
 			if box == nil {
 				// Best-effort: the connection may itself be the casualty.
-				w.tr.Send(src, r, collectiveTag, groupPoison{Rank: rank, Reason: reason})
+				w.tr.Send(src, r, controlTag, groupPoison{Rank: rank, Reason: reason})
 			}
 		}
 	}
@@ -671,11 +669,10 @@ func (w *World) Evictable(rank int) bool {
 
 // Evict marks rank as permanently dead without poisoning the
 // survivors: sends to it become no-ops, inbound frames from it are
-// dropped, groups re-form over the live members, and every blocked
-// receiver wakes so eviction-aware waits (RecvUntil) can recheck their
-// cancel condition.  Eviction is final — a falsely evicted rank that
-// later wakes up is firewalled, never re-admitted.  The first eviction
-// of a rank wins; evicting a critical rank (or a rank of a
+// dropped, and every blocked receiver wakes so eviction-aware waits
+// (RecvUntil) can recheck their cancel condition.  Eviction is final —
+// a falsely evicted rank that later wakes up is firewalled, never
+// re-admitted.  The first eviction of a rank wins; evicting a critical rank (or a rank of a
 // non-recovering world) falls back to Fail.  Safe from any goroutine.
 func (w *World) Evict(rank int, reason string) {
 	if !w.Evictable(rank) {
@@ -701,17 +698,10 @@ func (w *World) Evict(rank int, reason string) {
 		}
 		for r, box := range w.boxes {
 			if box == nil {
-				w.tr.Send(src, r, collectiveTag, evictNotice{Rank: rank, Reason: reason})
+				w.tr.Send(src, r, controlTag, evictNotice{Rank: rank, Reason: reason})
 			}
 		}
 	}
-	// Re-form groups over the survivors.
-	w.groups.Range(func(_, v any) bool {
-		if g, ok := v.(interface{ evict(rank int) }); ok {
-			g.evict(rank)
-		}
-		return true
-	})
 	// Wake blocked receivers: messages from the dead rank will never
 	// arrive, and RecvUntil waiters must observe the new membership.
 	// The evicted rank's own mailbox — when it lives in this world, as in
@@ -816,7 +806,7 @@ func (w *World) Join(rank int) bool {
 		}
 		for r, box := range w.boxes {
 			if box == nil {
-				w.tr.Send(src, r, collectiveTag, joinNotice{Rank: rank})
+				w.tr.Send(src, r, controlTag, joinNotice{Rank: rank})
 			}
 		}
 	}
@@ -893,7 +883,7 @@ func (w *World) Close() error {
 			bye := byeNotice{Ranks: w.local}
 			for r, box := range w.boxes {
 				if box == nil {
-					w.tr.Send(src, r, collectiveTag, bye)
+					w.tr.Send(src, r, controlTag, bye)
 				}
 			}
 		}

@@ -118,65 +118,124 @@ func TestIrecvWaitBlocks(t *testing.T) {
 	}
 }
 
+// coordinateRound is the coordinator's half of the SIP's sync round,
+// built on this package's point-to-point messages the way the SIP
+// master builds it: every member sends its contribution on tag, and the
+// coordinator waits until each live member has reported, then answers
+// each live member on tag+1 with the survivors' sum.  Evicting a member
+// mid-round wakes the wait (RecvUntil rechecks the eviction stamp), so
+// the round completes over the survivors instead of hanging.
+func coordinateRound(c *Comm, members []int, tag int) float64 {
+	w := c.world
+	got := map[int]float64{}
+	missing := func() bool {
+		for _, r := range members {
+			if _, ok := got[r]; !ok && !w.IsEvicted(r) {
+				return true
+			}
+		}
+		return false
+	}
+	for missing() {
+		stamp := w.EvictStamp()
+		m, ok := c.RecvUntil(AnySource, tag, 0, func() bool { return w.EvictStamp() != stamp })
+		if ok {
+			got[m.Source] = m.Data.(float64)
+		}
+	}
+	sum := 0.0
+	for r, v := range got {
+		if !w.IsEvicted(r) {
+			sum += v
+		}
+	}
+	for _, r := range members {
+		if !w.IsEvicted(r) {
+			c.Send(r, tag+1, sum)
+		}
+	}
+	return sum
+}
+
+// joinRound is a member's half: report v and wait for the round's sum.
+func joinRound(c *Comm, coord, tag int, v float64) float64 {
+	c.Send(coord, tag, v)
+	return c.Recv(coord, tag+1).Data.(float64)
+}
+
+// TestGroupBarrier: no member leaves a round before every member has
+// arrived at it.
 func TestGroupBarrier(t *testing.T) {
-	w := NewWorld(4)
-	g := w.NewGroup(4)
+	w := NewWorld(5)
+	members := []int{1, 2, 3, 4}
+	go coordinateRound(w.Comm(0), members, 10)
 	var mu sync.Mutex
 	arrived := 0
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for _, r := range members {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			mu.Lock()
 			arrived++
 			mu.Unlock()
-			g.Barrier()
+			joinRound(w.Comm(r), 0, 10, 0)
 			mu.Lock()
-			if arrived != 4 {
-				t.Errorf("passed barrier with %d arrivals", arrived)
+			if arrived != len(members) {
+				t.Errorf("rank %d passed the round with %d arrivals", r, arrived)
 			}
 			mu.Unlock()
-		}()
+		}(r)
 	}
 	wg.Wait()
 }
 
+// TestGroupBarrierReusable: back-to-back rounds on the same tags never
+// mix one round's reports into the next.
 func TestGroupBarrierReusable(t *testing.T) {
-	w := NewWorld(2)
-	g := w.NewGroup(2)
+	const rounds = 50
+	w := NewWorld(3)
+	members := []int{1, 2}
+	go func() {
+		for round := 0; round < rounds; round++ {
+			coordinateRound(w.Comm(0), members, 10)
+		}
+	}()
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for _, r := range members {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				g.Barrier()
+			for round := 0; round < rounds; round++ {
+				if s := joinRound(w.Comm(r), 0, 10, float64(round)); s != float64(2*round) {
+					t.Errorf("rank %d round %d: sum %g, want %d", r, round, s, 2*round)
+					return
+				}
 			}
-		}()
+		}(r)
 	}
 	wg.Wait()
 }
 
+// TestAllreduceSum: every member gets the sum of all contributions, and
+// a second round starts clean.
 func TestAllreduceSum(t *testing.T) {
-	w := NewWorld(3)
-	g := w.NewGroup(3)
-	results := make(chan float64, 3)
-	for i := 0; i < 3; i++ {
-		go func(v float64) { results <- g.AllreduceSum(v) }(float64(i + 1))
-	}
-	for i := 0; i < 3; i++ {
-		if r := <-results; r != 6 {
-			t.Fatalf("allreduce = %v, want 6", r)
+	w := NewWorld(4)
+	members := []int{1, 2, 3}
+	for round, want := range []float64{6, 30} {
+		go coordinateRound(w.Comm(0), members, 10)
+		results := make(chan float64, len(members))
+		for _, r := range members {
+			v := float64(r)
+			if round == 1 {
+				v = 10
+			}
+			go func(r int, v float64) { results <- joinRound(w.Comm(r), 0, 10, v) }(r, v)
 		}
-	}
-	// Second round starts clean.
-	for i := 0; i < 3; i++ {
-		go func() { results <- g.AllreduceSum(10) }()
-	}
-	for i := 0; i < 3; i++ {
-		if r := <-results; r != 30 {
-			t.Fatalf("round 2 allreduce = %v, want 30", r)
+		for range members {
+			if s := <-results; s != want {
+				t.Fatalf("round %d: sum = %v, want %v", round, s, want)
+			}
 		}
 	}
 }
@@ -204,20 +263,27 @@ func TestManySendersOneReceiver(t *testing.T) {
 	}
 }
 
+// TestPoisonReleasesBlockedMembers: members blocked in a round whose
+// last member never arrives are released by the failure of that
+// member — they panic with ErrAborted instead of waiting forever — and
+// later receives abort at once.
 func TestPoisonReleasesBlockedMembers(t *testing.T) {
-	w := NewWorld(3)
-	g := w.NewGroup(3)
+	w := NewWorld(4)
+	go func() {
+		defer func() { recover() }()
+		coordinateRound(w.Comm(0), []int{1, 2, 3}, 10) // rank 3 never reports
+	}()
 	aborted := make(chan bool, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
+	for _, r := range []int{1, 2} {
+		go func(r int) {
 			defer func() {
 				aborted <- recover() == ErrAborted
 			}()
-			g.Barrier() // the third member never arrives
-		}()
+			joinRound(w.Comm(r), 0, 10, 1)
+		}(r)
 	}
 	time.Sleep(10 * time.Millisecond)
-	g.Poison()
+	w.Fail(3, "never arrived")
 	for i := 0; i < 2; i++ {
 		select {
 		case ok := <-aborted:
@@ -225,17 +291,19 @@ func TestPoisonReleasesBlockedMembers(t *testing.T) {
 				t.Fatal("blocked member did not panic with ErrAborted")
 			}
 		case <-time.After(time.Second):
-			t.Fatal("poison did not release a blocked member")
+			t.Fatal("failure did not release a blocked member")
 		}
 	}
-	// Later collective calls abort immediately.
+	if f := w.Failure(); f == nil || f.Rank != 3 {
+		t.Errorf("failure = %v, want rank 3 blamed", f)
+	}
 	func() {
 		defer func() {
 			if recover() != ErrAborted {
-				t.Error("post-poison collective did not abort")
+				t.Error("post-failure receive did not abort")
 			}
 		}()
-		g.AllreduceSum(1)
+		w.Comm(1).Recv(0, 11)
 	}()
 }
 
@@ -246,7 +314,6 @@ func TestPanics(t *testing.T) {
 		func() { w.Comm(5) },
 		func() { w.Comm(-1) },
 		func() { w.Comm(0).Send(9, 0, nil) },
-		func() { w.NewGroup(0) },
 	} {
 		func() {
 			defer func() {

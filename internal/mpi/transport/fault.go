@@ -30,20 +30,26 @@ type FaultSpec struct {
 	Delay time.Duration
 	// KillRank, when >= 0, names a rank whose endpoint goes silent —
 	// both directions stop, without closing connections — after the
-	// endpoint has moved KillAfter frames (in + out).  This models a
-	// wedged or crashed process that the fabric cannot distinguish from
-	// a slow one, so only liveness tracking catches it.
+	// endpoint has moved KillAfter application frames (in + out).  This
+	// models a wedged or crashed process that the fabric cannot
+	// distinguish from a slow one, so only liveness tracking catches it.
+	//
+	// Application frames are those with a non-negative tag.  The
+	// world's own control frames (heartbeats, clock pings, membership
+	// notices, all on negative tags) flow on a wall-clock schedule, so
+	// they are cut like any other frame but never advance the count:
+	// a kill then lands at the same protocol point on every run.
 	KillRank int
-	// KillAfter is the frame count before the kill engages (0 = at
-	// once).
+	// KillAfter is the application-frame count before the kill engages
+	// (0 = at once, on the first frame of any kind).
 	KillAfter int
 	// PartA/PartB, when both non-empty, define a network partition:
 	// every frame between a rank in PartA and a rank in PartB is
 	// dropped, in both directions.
 	PartA, PartB []int
 	// Heal, when > 0, heals the partition after the endpoint has moved
-	// Heal frames (in + out): the partition only severs frames while
-	// the frame count is at most Heal.  Models a transient fabric
+	// Heal application frames (in + out): the partition only severs
+	// frames while the count is at most Heal.  Models a transient fabric
 	// outage that recovery must ride out.
 	Heal int
 }
@@ -96,9 +102,9 @@ func rankList(rs []int) string {
 //	drop=P          drop each outbound frame with probability P
 //	dup=P           duplicate each outbound frame with probability P
 //	delay=D         delay each outbound frame by uniform [0,D) (e.g. 5ms)
-//	kill=R@N        rank R's endpoint goes silent after N frames
+//	kill=R@N        rank R's endpoint goes silent after N application frames
 //	partition=A|B   drop frames between rank lists A and B (e.g. 0,1|2,3)
-//	heal=N          the partition heals after N frames
+//	heal=N          the partition heals after N application frames
 //
 // An empty string parses to the inactive zero spec.
 func ParseFaultSpec(str string) (FaultSpec, error) {
@@ -267,13 +273,17 @@ func (f *Fault) event(kind string, peer int) {
 }
 
 // cut counts one frame and reports whether kill or partition severs the
-// link between the local endpoint and peer.
-func (f *Fault) cut(localRank, peer int) bool {
+// link between the local endpoint and peer.  Control frames (negative
+// tags) are subject to the cut but not counted; see FaultSpec.KillRank.
+func (f *Fault) cut(localRank, peer, tag int) bool {
 	f.mu.Lock()
-	f.frames++
+	if tag >= 0 {
+		f.frames++
+	}
 	frames := f.frames
 	justKilled := false
-	if !f.killed && f.spec.KillRank >= 0 && f.local[f.spec.KillRank] && f.frames > f.spec.KillAfter {
+	if !f.killed && f.spec.KillRank >= 0 && f.local[f.spec.KillRank] &&
+		(f.spec.KillAfter == 0 || f.frames > f.spec.KillAfter) {
 		f.killed = true
 		justKilled = true
 	}
@@ -309,7 +319,7 @@ func containsRank(rs []int, r int) bool {
 // Start installs a handler that applies inbound cuts before delivery.
 func (f *Fault) Start(h Handler, down PeerDown) error {
 	return f.inner.Start(func(src, dst, tag int, data any) {
-		if f.cut(dst, src) {
+		if f.cut(dst, src, tag) {
 			f.event(FaultCut, src)
 			return
 		}
@@ -321,7 +331,7 @@ func (f *Fault) Start(h Handler, down PeerDown) error {
 // transport.  Cut frames (kill, partition) and dropped frames report
 // success to the caller, exactly like a lossy fabric would.
 func (f *Fault) Send(src, dst, tag int, data any) error {
-	if f.cut(src, dst) {
+	if f.cut(src, dst, tag) {
 		f.event(FaultCut, dst)
 		return nil
 	}
@@ -371,7 +381,7 @@ func (f *Fault) SendMulti(src int, dsts []int, tag int, data any) error {
 	}
 	clean := make([]int, 0, len(dsts))
 	for _, dst := range dsts {
-		if f.cut(src, dst) {
+		if f.cut(src, dst, tag) {
 			f.event(FaultCut, dst)
 			continue
 		}

@@ -212,6 +212,31 @@ func TestFaultKill(t *testing.T) {
 	}
 }
 
+// TestFaultKillCountsApplicationFrames: control frames (negative tags,
+// such as heartbeats) pass before the kill and are cut after it, but
+// never advance the count, so the kill point does not drift with how
+// many heartbeats a run happened to exchange.
+func TestFaultKillCountsApplicationFrames(t *testing.T) {
+	f, got := faultPair(t, FaultSpec{KillRank: 0, KillAfter: 2}, nil)
+	send := func(tag int) {
+		if err := f.Send(0, 1, tag, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		send(-3) // heartbeats: delivered, not counted
+	}
+	send(0)
+	send(-3)
+	send(1)
+	send(2)  // third application frame: the kill engages
+	send(-3) // cut like everything else after the kill
+	want := []int{-3, -3, -3, -3, -3, 0, -3, 1}
+	if !reflect.DeepEqual(got.tags(), want) {
+		t.Errorf("delivered %v, want %v", got.tags(), want)
+	}
+}
+
 // TestFaultKillOtherRank: a kill spec naming a remote rank leaves this
 // endpoint untouched (every process shares one spec; only the named
 // rank dies).

@@ -197,7 +197,12 @@ func TestChaosRecoverWorkerDeath(t *testing.T) {
 	spec := func(rank int) transport.FaultSpec {
 		s := noFault
 		s.KillRank = 2
-		s.KillAfter = 40 // deep enough that rank 2 has live prepares to deduplicate
+		// Application frames 1-4 are rank 2's startup sync round and its
+		// first chunk request and reply, so the kill lands inside that
+		// chunk — unacknowledged, and with some of its prepares already
+		// applied (the replay must deduplicate them) — however small a
+		// share of the pardo rank 2 gets.
+		s.KillAfter = 10
 		return s
 	}
 	mkWorld := faultWorldMaker(t, 4, spec, nil)

@@ -23,7 +23,7 @@ type master struct {
 	ckptSaves map[int]*ckptCollect
 	ckptLoads map[int][]int // array id -> requesting worker ranks
 
-	// Recovery state (Config.Recover).
+	// Sync and recovery state.
 	syncs     map[int]*syncState // sync round -> progress
 	evictSeen map[int]bool       // evictions already folded into the ledger
 	doneRanks map[int]bool       // workers that reported done
@@ -104,9 +104,8 @@ type pardoRun struct {
 	started bool
 	done    bool
 
-	totalEst   int64 // product of ranges (upper bound; where clauses shrink it)
-	issued     int64
-	emptyPolls int // workers that have received a final empty chunk
+	totalEst int64 // product of ranges (upper bound; where clauses shrink it)
+	issued   int64
 
 	// Recovery ledger (Config.Recover): iterations handed to each worker
 	// and not yet acknowledged by that worker's next sync report, plus
@@ -264,15 +263,15 @@ func (r *pardoRun) chunkSize(workers int) int {
 	return int(size)
 }
 
-// recvAny is the master's main-loop receive.  With Config.RecvTimeout
-// set it bounds the wait: when every retry expires without traffic the
-// master diagnoses the stall (blaming a rank from suspects, the ranks
-// it is still waiting on), fails the world, and returns the failure
-// instead of hanging forever on a crashed rank.  Under Config.Recover
-// it instead returns ok == false whenever the membership changed (so
-// the caller can fold evictions into the ledger and re-check what it
-// is waiting for), and a stall blamed on an evictable rank evicts that
-// rank rather than failing the world.
+// recvAny is the master's main-loop receive.  It returns ok == false
+// whenever the membership changed or Config.Cancel/Stop fired, so the
+// caller can fold evictions into the ledger and re-check what it is
+// waiting for.  With Config.RecvTimeout set it bounds the wait: when
+// every retry expires without traffic the master diagnoses the stall,
+// blaming a rank from suspects (the ranks it is still waiting on).  An
+// evictable suspect (Config.Recover) is evicted; otherwise the master
+// fails the world and returns the failure instead of hanging forever on
+// a crashed rank.
 func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.Message, ok bool, err error) {
 	d := m.rt.cfg.RecvTimeout
 	w := m.rt.world
@@ -284,58 +283,43 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 	if tag == mpi.AnyTag {
 		lo, hi = m.rt.tagBase(), m.rt.tagBase()+jobTagStride-1
 	}
-	if m.rt.cfg.Recover {
-		stamp := w.EvictStamp()
-		// A freshly fired Config.Cancel also interrupts the wait (once:
-		// after noteCancel records it, the predicate goes quiet again so
-		// the master can keep receiving the fast-forwarding workers).
-		cancel := func() bool {
-			return w.EvictStamp() != stamp || (!m.cancelled && m.rt.cancelRequested()) ||
-				(!m.stopNoted && m.stopSignaled())
-		}
-		attempts := 1 + m.rt.cfg.RecvRetries
-		for i := 0; i < attempts; i++ {
-			if msg, ok = m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, cancel); ok {
-				return msg, true, nil
-			}
-			if cancel() || d <= 0 {
-				return mpi.Message{}, false, nil
-			}
-		}
-		total := time.Duration(attempts) * d
-		if m.rt.inPool() {
-			// Pool ranks never die silently: real deaths arrive as explicit
-			// evictions, which fire the cancel predicate above.  Silence here
-			// means a suspect is merely slow — wedged on a dead rank's block
-			// (bounded by its own receive deadline, after which it reports
-			// done), or parked by the fairness gate — and evicting it would
-			// amputate a live rank from every tenant in the pool.  Keep
-			// waiting.
-			return mpi.Message{}, false, nil
-		}
-		for _, r := range suspects() {
-			if w.Evictable(r) {
-				w.Evict(r, fmt.Sprintf("master heard no %s from it within %v", what, total))
-				return mpi.Message{}, false, nil
-			}
-		}
-		// Fall through to the fail-fast diagnosis below: the stall is on
-		// a critical rank (or nobody), so degraded completion is off the
-		// table.
-	}
-	if d <= 0 {
-		return m.comm.RecvRange(mpi.AnySource, lo, hi), true, nil
+	stamp := w.EvictStamp()
+	// A freshly fired Config.Cancel also interrupts the wait (once:
+	// after noteCancel records it, the predicate goes quiet again so
+	// the master can keep receiving the fast-forwarding workers).
+	cancel := func() bool {
+		return w.EvictStamp() != stamp || (!m.cancelled && m.rt.cancelRequested()) ||
+			(!m.stopNoted && m.stopSignaled())
 	}
 	attempts := 1 + m.rt.cfg.RecvRetries
-	if !m.rt.cfg.Recover { // recover already spent its attempts above
-		for i := 0; i < attempts; i++ {
-			if msg, ok := m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, nil); ok {
-				return msg, true, nil
-			}
+	for i := 0; i < attempts; i++ {
+		if msg, ok = m.comm.RecvRangeUntil(mpi.AnySource, lo, hi, d, cancel); ok {
+			return msg, true, nil
+		}
+		if cancel() || d <= 0 {
+			return mpi.Message{}, false, nil
 		}
 	}
 	total := time.Duration(attempts) * d
+	if m.rt.inPool() {
+		// Pool ranks never die silently: real deaths arrive as explicit
+		// evictions, which fire the cancel predicate above.  Silence here
+		// means a suspect is merely slow — wedged on a dead rank's block
+		// (bounded by its own receive deadline, after which it reports
+		// done), or parked by the fairness gate — and evicting it would
+		// amputate a live rank from every tenant in the pool.  Keep
+		// waiting.
+		return mpi.Message{}, false, nil
+	}
 	waiting := suspects()
+	for _, r := range waiting {
+		if w.Evictable(r) {
+			w.Evict(r, fmt.Sprintf("master heard no %s from it within %v", what, total))
+			return mpi.Message{}, false, nil
+		}
+	}
+	// The stall is on a critical rank (or nobody), so degraded
+	// completion is off the table.
 	if len(waiting) == 0 {
 		return mpi.Message{}, false, fmt.Errorf("sip: master: no %s within %v", what, total)
 	}
@@ -343,7 +327,7 @@ func (m *master) recvAny(tag int, what string, suspects func() []int) (msg mpi.M
 		Rank:   waiting[0],
 		Reason: fmt.Sprintf("master heard no %s within %v (still waiting on ranks %v)", what, total, waiting),
 	}
-	m.rt.world.Fail(rf.Rank, rf.Reason)
+	w.Fail(rf.Rank, rf.Reason)
 	return mpi.Message{}, false, rf
 }
 
@@ -363,7 +347,7 @@ func (m *master) relayErr(done doneMsg) error {
 // recordRelay folds one relayed failure into the running diagnosis.
 // The first error wins, except that an attributed relay (one carrying a
 // RankFailure) replaces an earlier unattributed one: with several ranks
-// racing to report, a bystander's generic "group aborted" can reach the
+// racing to report, a bystander's generic "world aborted" can reach the
 // master before the detecting rank's diagnosis.
 func (m *master) recordRelay(cur error, done doneMsg) error {
 	if done.err == "" {
@@ -436,24 +420,14 @@ func (m *master) run() (res *Result, err error) {
 	for m.pendingWorkers() > 0 {
 		m.noteCancel(trk)
 		m.noteStop(trk)
-		if rt.cfg.Recover {
-			m.noteEvictions(trk)
-			if err := m.completeSyncRounds(redispCtr, trk); err != nil {
-				return res, err
-			}
-			if m.pendingWorkers() == 0 {
-				break
-			}
+		m.noteEvictions(trk)
+		if err := m.completeSyncRounds(redispCtr, trk); err != nil {
+			return res, err
 		}
-		msg, ok, err := m.recvAny(mpi.AnyTag, "worker traffic", func() []int {
-			var waiting []int
-			for _, wr := range rt.workerList {
-				if !m.doneRanks[wr] && !rt.world.IsEvicted(wr) {
-					waiting = append(waiting, wr)
-				}
-			}
-			return waiting
-		})
+		if m.pendingWorkers() == 0 {
+			break
+		}
+		msg, ok, err := m.recvAny(mpi.AnyTag, "worker traffic", m.silentWorkers)
 		if err != nil {
 			return res, err
 		}
@@ -467,7 +441,7 @@ func (m *master) run() (res *Result, err error) {
 				start = time.Now()
 			}
 			req := msg.Data.(chunkMsg)
-			if rt.cfg.Recover && rt.world.IsEvicted(req.origin) {
+			if rt.world.IsEvicted(req.origin) {
 				// A zombie's request racing its own eviction (the frame was
 				// mailed before the rank died).  Serving it would assign
 				// fresh iterations to the dead rank AFTER noteEvictions
@@ -508,16 +482,9 @@ func (m *master) run() (res *Result, err error) {
 				m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{})
 				break
 			}
+			// The run stays until the next sync round seals the phase: a
+			// worker may still die holding iterations that need re-queuing.
 			iters := r.take(r.chunkSize(rt.workers), req.origin, rt.cfg.Recover, redispCtr)
-			if len(iters) == 0 {
-				r.emptyPolls++
-				// Under recovery the run must survive until the next sync
-				// round seals the phase: a worker may still die holding
-				// iterations that need re-queuing here.
-				if r.emptyPolls >= rt.workers && !rt.cfg.Recover {
-					delete(m.runs, key) // every worker has drained this run
-				}
-			}
 			m.comm.Send(req.origin, rt.tag(tagChunkRep), chunkReply{iters: iters})
 			chunkCtr.Inc()
 			iterCtr.Add(int64(len(iters)))
@@ -587,32 +554,34 @@ func (m *master) run() (res *Result, err error) {
 			m.comm.Send(sr, tagServer, shutdownMsg{gather: rt.cfg.GatherArrays, job: rt.job})
 		}
 	}
-	if rt.cfg.GatherArrays {
-		gathered := map[int]bool{}
-		// Wait for live servers only, re-evaluated each iteration: a
-		// server evicted mid-gather stops being owed (its blocks arrive
-		// from the surviving replicas).
-		awaiting := func() []int {
-			var waiting []int
-			for _, sr := range rt.serverList {
-				if !gathered[sr] && !rt.world.IsEvicted(sr) {
-					waiting = append(waiting, sr)
-				}
+	// Every live server answers its shutdown with its gather (empty
+	// without GatherArrays).  Waiting for the answers closes the final
+	// round: the shutdown is delivered before this rank's world closes,
+	// even to a server the master never talked to before, whose process
+	// may still have been binding its listener.  Only live servers are
+	// owed, re-evaluated each iteration: a server evicted mid-gather
+	// stops being owed (its blocks arrive from the surviving replicas).
+	gathered := map[int]bool{}
+	awaiting := func() []int {
+		var waiting []int
+		for _, sr := range rt.serverList {
+			if !gathered[sr] && !rt.world.IsEvicted(sr) {
+				waiting = append(waiting, sr)
 			}
-			return waiting
 		}
-		for len(awaiting()) > 0 {
-			msg, ok, err := m.recvAny(tagGather, "server gather", awaiting)
-			if err != nil {
-				return res, err
-			}
-			if !ok {
-				continue // membership changed; re-check who is owed
-			}
-			g := msg.Data.(gatherMsg)
-			gathered[g.origin] = true
-			m.recordServedGather(res.Served, g)
+		return waiting
+	}
+	for len(awaiting()) > 0 {
+		msg, ok, err := m.recvAny(tagGather, "server gather", awaiting)
+		if err != nil {
+			return res, err
 		}
+		if !ok {
+			continue // membership changed; re-check who is owed
+		}
+		g := msg.Data.(gatherMsg)
+		gathered[g.origin] = true
+		m.recordServedGather(res.Served, g)
 	}
 	res.Scalars = map[string]float64{}
 	for i, s := range rt.prog.Scalars {
@@ -678,7 +647,7 @@ func (m *master) evictedServers() int {
 
 // pendingWorkers counts workers the master still owes a completion:
 // alive and not yet done.  Without recovery no rank is ever evicted, so
-// this is exactly the old "all workers reported done" condition.
+// this is exactly "all workers reported done".
 func (m *master) pendingWorkers() int {
 	n := 0
 	for _, wr := range m.rt.workerList {
@@ -687,6 +656,32 @@ func (m *master) pendingWorkers() int {
 		}
 	}
 	return n
+}
+
+// silentWorkers lists the workers the master's main loop is waiting to
+// hear from — the suspects of a stall: alive, not done, and not parked
+// at an open sync round.  A parked worker has reported and is waiting
+// on the master, so a stall cannot be its fault.
+func (m *master) silentWorkers() []int {
+	var waiting []int
+	for _, wr := range m.rt.workerList {
+		if m.doneRanks[wr] || m.rt.world.IsEvicted(wr) || m.parked(wr) {
+			continue
+		}
+		waiting = append(waiting, wr)
+	}
+	return waiting
+}
+
+// parked reports whether worker wr has reported to an open sync round
+// and awaits its release.
+func (m *master) parked(wr int) bool {
+	for _, s := range m.syncs {
+		if s.reported[wr] {
+			return true
+		}
+	}
+	return false
 }
 
 // liveWorkers counts workers not evicted from the world.
@@ -1072,11 +1067,11 @@ func (m *master) ckptPath(arr int) string {
 }
 
 // handleCkpt advances the blocks_to_list / list_to_blocks protocols.
-// Collections complete once every live worker has contributed; under
-// recovery noteEvictions re-checks pending collections when the live
-// count drops.
+// Collections complete once every live worker has contributed;
+// noteEvictions re-checks pending collections when the live count
+// drops.
 func (m *master) handleCkpt(req ckptMsg) error {
-	if m.rt.cfg.Recover && m.rt.world.IsEvicted(req.origin) {
+	if m.rt.world.IsEvicted(req.origin) {
 		// A zombie's checkpoint traffic racing its own eviction: its
 		// contribution must not stand in for a live worker's.
 		return nil

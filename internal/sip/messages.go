@@ -41,11 +41,12 @@ type flushMsg struct {
 	job    int
 }
 
-// shutdownMsg terminates a service loop or I/O server.  gather asks the
-// recipient to send its array contents to the master first.  For a
-// shared pool server, job > 0 narrows the shutdown to one job: flush
-// (and optionally gather) that job's blocks, drop its registration, and
-// keep serving the other jobs; job == 0 is the batch path's full stop.
+// shutdownMsg terminates a service loop or I/O server.  An I/O server
+// answers it with a gatherMsg to the master, carrying its array
+// contents when gather is set.  For a shared pool server, job > 0
+// narrows the shutdown to one job: flush (and answer for) that job's
+// blocks, drop its registration, and keep serving the other jobs;
+// job == 0 is the batch path's full stop.
 type shutdownMsg struct {
 	gather bool
 	job    int
@@ -118,9 +119,8 @@ type gatherMsg struct {
 	arrays map[int][]ArrayBlock // array id -> blocks
 }
 
-// Sync-point kinds carried by syncMsg under recovery.  Each kind maps
-// to one program construct whose global coordination the master
-// mediates when Config.Recover is on.
+// Sync-point kinds carried by syncMsg.  Each kind maps to one program
+// construct whose global coordination the master mediates.
 const (
 	syncBarrier       = iota // sip_barrier / initial startup barrier
 	syncServerBarrier        // server_barrier (master flushes the servers)

@@ -28,14 +28,12 @@ import (
 // server rank serves every job's served arrays, keyed by job, for the
 // pool's whole lifetime.
 //
-// Pool jobs always run with Config.Recover forced on.  Master-mediated
-// sync rounds are what make multi-tenancy safe: collective groups would
-// be cached per member-set in the world and shared between jobs with
-// identical membership, interleaving their barrier rounds.  Recovery
-// mode routes every sync through the job's own master on strided tags,
-// and also gives the pool its elasticity — worker kills are evictions
-// the job replays around, and rank joins only require that later jobs'
-// membership snapshots include the newcomer.
+// Every job's sync points are rounds mediated by the job's own master on
+// its strided tags, so concurrent jobs' barriers never interleave.  Pool
+// jobs always run with Config.Recover forced on: its chunk ledger and
+// effect dedup give the pool its elasticity — worker kills are
+// evictions the job replays around, and rank joins only require that
+// later jobs' membership snapshots include the newcomer.
 type Pool struct {
 	cfg   PoolConfig
 	world *mpi.World
@@ -270,7 +268,7 @@ func (p *Pool) Join() (int, error) {
 //
 // cfg is the Config Run takes, but the pool owns the world-level fields
 // and overwrites them: Workers (the live membership at admission),
-// Servers, Recover (always on: pool jobs sync through their master),
+// Servers, Recover (always on: pool jobs replay around killed workers),
 // Replicas, ScratchDir, Tracer, Gate, RecvTimeout and RecvRetries.  A nil
 // Output falls back to the pool's.
 func (p *Pool) RunJob(prog *bytecode.Program, cfg Config) (res *Result, err error) {
@@ -310,7 +308,7 @@ func (p *Pool) runJob(prog *bytecode.Program, cfg Config) (*Result, error) {
 	}
 
 	cfg.Workers, cfg.Servers = len(members), p.cfg.Servers
-	cfg.Recover = true // pool jobs always sync through their master
+	cfg.Recover = true // pool jobs replay around killed workers
 	cfg.Replicas, cfg.ScratchDir = p.cfg.Replicas, p.base.scratch
 	cfg.Tracer, cfg.Gate = p.cfg.Tracer, p.cfg.Gate
 	cfg.RecvTimeout, cfg.RecvRetries = p.cfg.RecvTimeout, p.cfg.RecvRetries

@@ -186,11 +186,15 @@ func (s *ioServer) run() (err error) {
 			}
 		}
 	}()
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("sip: server %d: scratch dir: %w", s.rank, err)
-	}
-	if err := s.scanDisk(); err != nil {
-		return err
+	// A run without a scratch dir has no served arrays (needsScratch), so
+	// this server never spills and has no disk state to rescan.
+	if s.rt.scratch != "" {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return fmt.Errorf("sip: server %d: scratch dir: %w", s.rank, err)
+		}
+		if err := s.scanDisk(); err != nil {
+			return err
+		}
 	}
 	if err := s.installPresets(); err != nil {
 		return err
@@ -288,12 +292,8 @@ func (s *ioServer) run() (err error) {
 			if err := s.flushAll(); err != nil {
 				return err
 			}
-			if msg.gather {
-				arrays, err := s.gatherJob(msg.job)
-				if err != nil {
-					return err
-				}
-				s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
+			if err := s.answerShutdown(msg); err != nil {
+				return err
 			}
 			if s.trk != nil {
 				s.trk.End(start, obs.CatServerCache, "shutdown")
@@ -323,12 +323,8 @@ func (s *ioServer) retireJob(msg shutdownMsg) error {
 	if err := s.flushJob(msg.job); err != nil {
 		return err
 	}
-	if msg.gather {
-		arrays, err := s.gatherJob(msg.job)
-		if err != nil {
-			return err
-		}
-		s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
+	if err := s.answerShutdown(msg); err != nil {
+		return err
 	}
 	for k, e := range s.entries {
 		if k.job == msg.job {
@@ -346,6 +342,21 @@ func (s *ioServer) retireJob(msg shutdownMsg) error {
 	s.jobMu.Lock()
 	delete(s.jobs, msg.job)
 	s.jobMu.Unlock()
+	return nil
+}
+
+// answerShutdown sends the job's master this server's gather, the
+// answer it awaits to every shutdown: the job's served blocks when the
+// run gathers arrays, none otherwise.
+func (s *ioServer) answerShutdown(msg shutdownMsg) error {
+	var arrays map[int][]ArrayBlock
+	if msg.gather {
+		var err error
+		if arrays, err = s.gatherJob(msg.job); err != nil {
+			return err
+		}
+	}
+	s.comm.Send(0, jobTag(msg.job, tagGather), gatherMsg{origin: s.rank, arrays: arrays})
 	return nil
 }
 

@@ -6,8 +6,11 @@
 // through the in-process MPI layer:
 //
 //   - The master assigns pardo iterations to workers in guided chunks
-//     whose size decreases as the computation proceeds, and coordinates
-//     checkpointing and shutdown.
+//     whose size decreases as the computation proceeds, and mediates
+//     every sync point: the startup barrier, sip_barrier, server_barrier
+//     (it flushes the servers itself), collective, the blocks_to_list /
+//     list_to_blocks rendezvous, and the final shutdown round.  Each is a
+//     round every live worker reports to and the master releases.
 //   - Each worker interprets the byte code: it manages temp/local/static
 //     blocks, fetches distributed blocks asynchronously with get
 //     (overlapping communication with computation and prefetching ahead
@@ -59,7 +62,7 @@ const (
 	tagDone      = 8  // worker -> master: reached halt
 	tagCkpt      = 9  // worker <-> master: checkpoint traffic
 	tagGather    = 10 // worker/server -> master: final array gather
-	tagSync      = 11 // worker -> master: recovery sync-point report
+	tagSync      = 11 // worker -> master: sync-point report
 	tagSyncRep   = 12 // master -> worker: sync-point release / replay order
 	tagRepl      = 13 // server -> master: re-replication control traffic
 	tagObs       = 14 // worker/server -> master: telemetry reports
@@ -187,18 +190,18 @@ type Config struct {
 	// first before a receive is declared failed (default 2, so a receive
 	// waits 3*RecvTimeout in total).  Negative means no retries.
 	RecvRetries int
-	// Recover turns a diagnosed worker-rank death into a degraded
-	// completion instead of an abort: the dead worker is evicted from
-	// the world, the master re-dispatches its unacknowledged pardo
-	// iterations to the survivors, replayed side effects are
-	// deduplicated at their destinations, and sync points (barriers,
-	// collectives, checkpoints) are mediated by the master over the
-	// live workers.  Blocks of *distributed* (worker-homed) arrays on
-	// the dead worker are lost — recovery is exact for programs that
-	// stage mutable state through served arrays and scalars (see
-	// docs/FAULTS.md, "Recovery").  Master death remains fatal, and so
-	// does I/O-server death unless Replicas > 1.  Off by default: PR 3's
-	// fail-fast diagnosis.
+	// Recover is the failure policy: a diagnosed worker-rank death is
+	// survived instead of aborting the run.  The dead worker is evicted
+	// from the world, the master re-dispatches its unacknowledged pardo
+	// iterations (kept in a per-worker chunk ledger) to the survivors,
+	// and replayed side effects are deduplicated at their destinations.
+	// Sync points go through the master either way; recovery only lets
+	// their rounds complete over the live workers.  Blocks of
+	// *distributed* (worker-homed) arrays on the dead worker are lost —
+	// recovery is exact for programs that stage mutable state through
+	// served arrays and scalars (see docs/FAULTS.md, "Recovery").  Master
+	// death remains fatal, and so does I/O-server death unless
+	// Replicas > 1.  Off by default: every detected failure is fatal.
 	Recover bool
 	// Replicas is the number of I/O servers holding each served-array
 	// block (default 1: today's single-home placement, byte-identical
@@ -247,9 +250,9 @@ type Config struct {
 	// CkptInterval enables automatic consistent job snapshots
 	// (snapshot.go): the master captures a restartable checkpoint at
 	// every sealed sync round and every CkptInterval completed pardo
-	// chunks (when the open pardos are pure).  Requires Recover — the
-	// snapshot consistency points are the recovery protocol's
-	// master-mediated sync rounds.  0 disables checkpointing.
+	// chunks (when the open pardos are pure).  Requires Recover: the
+	// mid-pardo watermarks come from the chunk ledger it keeps.  0
+	// disables checkpointing.
 	CkptInterval int
 	// CkptKeep is the snapshot retention depth (default 2): older epochs
 	// are garbage-collected after each successful snapshot, and a
@@ -330,7 +333,7 @@ func (c *Config) fill() error {
 	}
 	if c.CkptInterval > 0 {
 		if !c.Recover {
-			return fmt.Errorf("sip: CkptInterval requires Recover (snapshots ride the recovery sync protocol)")
+			return fmt.Errorf("sip: CkptInterval requires Recover (snapshots need its chunk ledger)")
 		}
 		if c.CkptKeep <= 0 {
 			c.CkptKeep = 2
@@ -392,8 +395,7 @@ type runtime struct {
 	workerList []int
 	serverList []int
 
-	workerGroup mpi.Group // workers only: barriers, collectives
-	scratch     string
+	scratch string
 
 	tracer  *obs.Tracer   // nil when span tracing is disabled
 	metrics *obs.Registry // nil when metrics are disabled
@@ -415,8 +417,7 @@ func (rt *runtime) tag(t int) int { return rt.tagBase() + t }
 // liveness) — so silence-based failure diagnosis is disabled: a rank
 // that is merely slow (wedged on another job's lost block, parked by the
 // fairness gate) must not be evicted from, or fail, the world every
-// tenant shares.  Nor may one tenant's failure poison the world or its
-// worker group.
+// tenant shares.  Nor may one tenant's failure poison the world.
 func (rt *runtime) inPool() bool { return rt.job != 0 }
 
 // cancelRequested reports whether the run's cancel channel has fired.
@@ -526,8 +527,7 @@ func NewBlockedPlacement(blocksOf func(arr int) int) PlacementFunc {
 }
 
 // workerRanks returns the world ranks of all workers (the batch layout
-// 1..W, or the job's membership snapshot in a pool), the member list of
-// the worker collective group.
+// 1..W, or the job's membership snapshot in a pool).
 func (rt *runtime) workerRanks() []int {
 	return append([]int(nil), rt.workerList...)
 }
@@ -606,8 +606,8 @@ func rankRange(first, n int) []int {
 // is the master, ranks 1..W the workers and W+1..W+S the I/O servers.
 // A pool job then sets its job id and membership snapshot; a pool's
 // shared servers run against a base runtime with a nil prog.  An empty
-// cfg.ScratchDir gets a fresh temporary directory, which the returned
-// cleanup removes.
+// cfg.ScratchDir gets a fresh temporary directory when the run needs
+// one (see needsScratch), which the returned cleanup removes.
 func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World) (*runtime, func(), error) {
 	rt := &runtime{
 		cfg:        cfg,
@@ -629,7 +629,7 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World) (*runtime,
 		}
 		rt.layout = layout
 	}
-	if rt.scratch != "" {
+	if rt.scratch != "" || !needsScratch(prog, cfg) {
 		return rt, func() {}, nil
 	}
 	dir, err := os.MkdirTemp("", "sip-scratch-")
@@ -638,6 +638,28 @@ func newRuntime(prog *bytecode.Program, cfg Config, world *mpi.World) (*runtime,
 	}
 	rt.scratch = dir
 	return rt, func() { os.RemoveAll(dir) }, nil
+}
+
+// needsScratch reports whether a run of prog writes to disk: served
+// arrays spill to the I/O servers' files, blocks_to_list and
+// list_to_blocks go through checkpoint files, and snapshots live under
+// the scratch directory.  A pool's base runtime (nil prog) always needs
+// one, since its servers outlive any one tenant's program.
+func needsScratch(prog *bytecode.Program, cfg Config) bool {
+	if prog == nil || cfg.CkptInterval > 0 { // fill: Resume needs CkptInterval
+		return true
+	}
+	for _, a := range prog.Arrays {
+		if a.Kind == bytecode.ArrayServed {
+			return true
+		}
+	}
+	for _, in := range prog.Code {
+		if in.Op == bytecode.OpBlocksToList || in.Op == bytecode.OpListToBlocks {
+			return true
+		}
+	}
+	return false
 }
 
 // ownWorld applies the run's world-wide settings to a world it owns
@@ -679,10 +701,6 @@ func (rt *runtime) play(ranks ...int) (*Result, error) {
 			servers = append(servers, newIOServer(rt, r))
 		}
 	}
-	if len(workers) > 0 && !rt.inPool() {
-		rt.workerGroup = rt.world.Comm(workers[0].rank).GroupOf(rt.workerRanks()...)
-	}
-
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for i, w := range workers {

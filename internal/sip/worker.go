@@ -78,15 +78,15 @@ type worker struct {
 	pendingPrepAcks int
 	nextReply       int
 
-	// Recovery state (Config.Recover).  syncRound numbers this worker's
+	// Sync and recovery state.  syncRound numbers this worker's
 	// master-mediated sync points (all workers pass the same ones in the
 	// same order).  pardoPCs records each pardo's start pc so replayed
 	// iterations can re-enter the body.  owedPutAcks tracks outstanding
 	// put acks per destination so acks owed by a dead home can be
-	// forgotten; owedPrepAcks does the same for prepare acks when the
-	// servers are evictable (Replicas > 1).  seenPuts/seenPrevPuts are
-	// the two live epochs of the put-dedup ledger, shared with the
-	// service loop (seenMu) and rotated at each sync release.
+	// forgotten; owedPrepAcks does the same for prepare acks per server.
+	// seenPuts/seenPrevPuts are the two live epochs of the put-dedup
+	// ledger (Config.Recover), shared with the service loop (seenMu) and
+	// rotated at each sync release.
 	syncRound    int
 	pardoPCs     []int
 	owedPutAcks  map[int]int
@@ -132,15 +132,14 @@ func newWorker(rt *runtime, rank int) *worker {
 		pardoGen: make([]int, len(rt.prog.Pardos)),
 		pardoPCs: make([]int, len(rt.prog.Pardos)),
 		prof:     newProfile(rt.prog),
+
+		owedPutAcks:  map[int]int{},
+		owedPrepAcks: map[int]int{},
 	}
 	w.cache.inUse = w.fetchedForLiveIteration
 	if rt.cfg.Recover {
-		w.owedPutAcks = map[int]int{}
 		w.seenPuts = map[uint64]bool{}
 		w.seenPrevPuts = map[uint64]bool{}
-	}
-	if rt.serversEvictable() {
-		w.owedPrepAcks = map[int]int{}
 	}
 	w.dropCtr = rt.metrics.Counter(metricDedupDroppedEffects)
 	w.retireCtr = rt.metrics.Counter(metricDedupRetired)
@@ -205,10 +204,10 @@ func dimsEqual(a, b []int) bool {
 	return true
 }
 
-// run executes the program to completion.  On any failure it poisons the
-// worker group (so peers blocked in collectives abort instead of
-// hanging) and still reports done to the master, which keeps the
-// shutdown protocol deadlock-free.
+// run executes the program to completion.  On any failure it reports
+// done to the master, which keeps the shutdown protocol deadlock-free,
+// and — outside a pool — fails the world, so peers parked at a sync
+// round or blocked on this rank abort instead of running on.
 func (w *worker) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -230,33 +229,28 @@ func (w *worker) run() (err error) {
 			return
 		}
 		if err != nil {
-			// A diagnosed rank failure (receive deadline naming a silent
-			// peer) fails the whole world so every rank learns the cause;
-			// ordinary errors only poison the worker group.  The done
-			// report carries the diagnosis structurally (failRank) so the
+			// The done report carries a diagnosed rank failure (receive
+			// deadline naming a silent peer) structurally (failRank) so the
 			// master can rebuild the RankFailure even when the relay wins
 			// the race against its own detection.
 			d := doneMsg{origin: w.rank, err: err.Error(), failRank: -1}
 			var rf *mpi.RankFailure
 			if errors.As(err, &rf) {
-				// In a pool the diagnosis stays in the done report: failing
-				// the shared world would abort every tenant, and the blamed
-				// rank — typically one already evicted by Pool.Kill, whose
-				// distributed blocks died with it — is the pool's business,
-				// not this job's.
-				if !errors.Is(err, mpi.ErrAborted) && !w.rt.inPool() {
-					w.rt.world.Fail(rf.Rank, rf.Reason)
-				}
 				d.failRank, d.failReason = rf.Rank, rf.Reason
 			}
-			// Pool jobs (job > 0) share the world with other tenants: a
-			// failed job must not poison the pool's worker group.  Its
-			// own syncs are master-mediated (pool jobs always run with
-			// Recover), so the done report is enough to unwind it.
-			if !w.rt.inPool() {
-				w.rt.workerGroup.Poison()
-			}
 			w.comm.Send(0, w.rt.tag(tagDone), d)
+			// Then fail the world so every rank stops and learns the cause:
+			// the diagnosed rank, or this one for its own error.  In a pool
+			// the done report is the whole story — failing the shared world
+			// would abort every tenant, and the job's master finishes the
+			// job's sync rounds without this rank.
+			if !errors.Is(err, mpi.ErrAborted) && !w.rt.inPool() {
+				if rf != nil {
+					w.rt.world.Fail(rf.Rank, rf.Reason)
+				} else {
+					w.rt.world.Fail(w.rank, err.Error())
+				}
+			}
 		}
 	}()
 	if err := w.initPresets(); err != nil {
@@ -266,12 +260,8 @@ func (w *worker) run() (err error) {
 	// release may carry a resume base (Config.Resume): installState then
 	// jumps this worker to the snapshot's program point before the
 	// interpreter loop starts.
-	if w.rt.cfg.Recover {
-		if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
-			return err
-		}
-	} else {
-		w.rt.workerGroup.Barrier()
+	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+		return err
 	}
 
 	code := w.rt.prog.Code
@@ -296,20 +286,11 @@ func (w *worker) run() (err error) {
 // until the master has heard from every worker, so late get/put requests
 // from stragglers are still answered; the master shuts them down.
 func (w *worker) shutdown() error {
-	if w.rt.cfg.Recover {
-		// The final sync round: any iterations a freshly dead worker
-		// still held are replayed here before anyone reports done.
-		if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
-			return err
-		}
-	} else {
-		if err := w.drainPutAcks(); err != nil {
-			return err
-		}
-		if err := w.drainPrepAcks(); err != nil {
-			return err
-		}
-		w.rt.workerGroup.Barrier()
+	// The final sync round: every effect is acknowledged, and any
+	// iterations a freshly dead worker still held are replayed here
+	// before anyone reports done.
+	if _, err := w.masterSync(syncBarrier, -1, false, nil); err != nil {
+		return err
 	}
 	if w.rt.cfg.GatherArrays {
 		arrays := map[int][]ArrayBlock{}
@@ -318,14 +299,10 @@ func (w *worker) shutdown() error {
 		})
 		w.comm.Send(0, w.rt.tag(tagGather), gatherMsg{origin: w.rank, arrays: arrays})
 	}
-	done := doneMsg{origin: w.rank, failRank: -1}
-	if w.rank == w.rt.firstWorker() || w.rt.cfg.Recover {
-		// Collectives make scalars identical across workers; rank 1
-		// reports them so the master never shares memory with a worker.
-		// Under recovery every worker reports (rank 1 may be the dead
-		// one) and the master keeps the lowest-ranked survivor's values.
-		done.scalars = append([]float64(nil), w.scalars...)
-	}
+	// Collectives make scalars identical across workers.  Every worker
+	// reports a copy (the first worker may have been evicted) and the
+	// master keeps the lowest-ranked survivor's values.
+	done := doneMsg{origin: w.rank, failRank: -1, scalars: append([]float64(nil), w.scalars...)}
 	w.comm.Send(0, w.rt.tag(tagDone), done)
 	return nil
 }
@@ -632,32 +609,23 @@ func (w *worker) exec(in *bytecode.Instr) error {
 			return err
 		}
 	case bytecode.OpBarrier:
-		var err error
+		kind := syncBarrier
 		if in.A == 1 {
-			err = w.serverBarrier()
-		} else {
-			err = w.sipBarrier()
+			kind = syncServerBarrier
 		}
-		if err != nil {
+		if err := w.barrier(kind); err != nil {
 			return err
 		}
 	case bytecode.OpCollective:
-		if w.rt.cfg.Recover {
-			vals, err := w.masterSync(syncCollective, in.A, true, func() []float64 {
-				return []float64{w.scalars[in.A]}
-			})
-			if err != nil {
-				return err
-			}
-			if len(vals) > 0 {
-				w.scalars[in.A] = vals[0]
-			}
-			break
-		}
-		if err := w.drainPutAcks(); err != nil {
+		vals, err := w.masterSync(syncCollective, in.A, true, func() []float64 {
+			return []float64{w.scalars[in.A]}
+		})
+		if err != nil {
 			return err
 		}
-		w.scalars[in.A] = w.rt.workerGroup.AllreduceSum(w.scalars[in.A])
+		if len(vals) > 0 {
+			w.scalars[in.A] = vals[0]
+		}
 	case bytecode.OpPrint:
 		if w.rank == w.rt.firstWorker() {
 			w.rt.outMu.Lock()
@@ -774,11 +742,10 @@ func (w *worker) clearTemps() {
 	clear(w.temps)
 }
 
-// recvTimed is Recv with the configured deadline: with RecvTimeout off
-// it blocks like Recv; with it on, a receive whose every retry expires
-// is diagnosed as a failure of the rank owing the message (src >= 0) —
-// an *mpi.RankFailure the run() defer uses to fail the world — or as a
-// generic timeout for wildcard receives.
+// recvTimed is Recv from the specific rank src with the configured
+// deadline: with RecvTimeout off it blocks like Recv; with it on, a
+// receive whose every retry expires is diagnosed as a failure of src —
+// an *mpi.RankFailure the run() defer uses to fail the world.
 func (w *worker) recvTimed(src, tag int, what string) (mpi.Message, error) {
 	d := w.rt.cfg.RecvTimeout
 	if d <= 0 {
@@ -790,14 +757,10 @@ func (w *worker) recvTimed(src, tag int, what string) (mpi.Message, error) {
 			return m, nil
 		}
 	}
-	total := time.Duration(attempts) * d
-	if src >= 0 {
-		return mpi.Message{}, &mpi.RankFailure{
-			Rank:   src,
-			Reason: fmt.Sprintf("worker %d heard no %s within %v", w.rank, what, total),
-		}
+	return mpi.Message{}, &mpi.RankFailure{
+		Rank:   src,
+		Reason: fmt.Sprintf("worker %d heard no %s within %v", w.rank, what, time.Duration(attempts)*d),
 	}
-	return mpi.Message{}, fmt.Errorf("sip: worker %d: no %s within %v", w.rank, what, total)
 }
 
 // awaitRequest completes a posted Irecv under the configured deadline,
@@ -1304,25 +1267,18 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 		return m
 	}
 	if arr.Kind == bytecode.ArrayServed {
-		if w.rt.cfg.Replicas > 1 {
-			// Fan out to every live replica; the quorum is all of them
-			// (dead replicas' acks are written off on eviction, and the
-			// anti-entropy pass restores the factor later).
-			replicas := w.rt.replicaServers(dst.Arr, loc.key.ord)
-			if len(replicas) == 0 {
-				return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.coord)
-			}
-			w.comm.Multicast(replicas, tagServer, msg, cloned)
-			for _, srv := range replicas {
-				w.pendingPrepAcks++
-				if w.owedPrepAcks != nil {
-					w.owedPrepAcks[srv]++
-				}
-			}
-		} else {
-			home := w.rt.homeServer(dst.Arr, loc.key.ord)
-			w.comm.Multicast([]int{home}, tagServer, msg, cloned)
+		// Fan out to every live replica (the single home server without
+		// replication); the quorum is all of them (dead replicas' acks are
+		// written off on eviction, and the anti-entropy pass restores the
+		// factor later).
+		replicas := w.rt.replicaServers(dst.Arr, loc.key.ord)
+		if len(replicas) == 0 {
+			return fmt.Errorf("prepare %s%v: every replica server is dead", arr.Name, loc.coord)
+		}
+		w.comm.Multicast(replicas, tagServer, msg, cloned)
+		for _, srv := range replicas {
 			w.pendingPrepAcks++
+			w.owedPrepAcks[srv]++
 		}
 	} else {
 		home := w.rt.homeWorker(dst.Arr, loc.key.ord)
@@ -1336,9 +1292,7 @@ func (w *worker) doPut(dst, src bytecode.Ref, acc bool) error {
 		default:
 			w.comm.Multicast([]int{home}, w.rt.tag(tagService), msg, cloned)
 			w.pendingPutAcks++
-			if w.owedPutAcks != nil {
-				w.owedPutAcks[home]++
-			}
+			w.owedPutAcks[home]++
 		}
 	}
 	// Drop any stale cached copy of the block we just overwrote.
@@ -1407,20 +1361,10 @@ func (w *worker) doExecute(in *bytecode.Instr) error {
 }
 
 // drainPutAcks consumes acknowledgements for all outstanding distributed
-// puts.  Under recovery it additionally writes off acks owed by evicted
-// homes (they will never arrive; the blocks died with the rank) and
-// wakes on membership changes to re-check the ledger.
+// puts.  Acks owed by evicted homes are written off (they will never
+// arrive; the blocks died with the rank), and a membership change wakes
+// the wait to re-check the ledger.
 func (w *worker) drainPutAcks() error {
-	if !w.rt.cfg.Recover {
-		for w.pendingPutAcks > 0 {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagPutAck),
-				fmt.Sprintf("put ack (%d outstanding)", w.pendingPutAcks)); err != nil {
-				return err
-			}
-			w.pendingPutAcks--
-		}
-		return nil
-	}
 	world := w.rt.world
 	for w.pendingPutAcks > 0 {
 		for home, n := range w.owedPutAcks {
@@ -1487,22 +1431,12 @@ func (w *worker) notePutAck(src int) {
 }
 
 // drainPrepAcks consumes acknowledgements for all outstanding prepares.
-// With evictable servers (Replicas > 1 under recovery) the quorum is
-// every live replica: acks owed by evicted servers are written off (the
-// surviving replicas hold the data), membership changes wake the wait,
-// and a live server that stays silent past the receive deadline is
-// evicted rather than fatal.
+// The quorum is every live replica: acks owed by evicted servers are
+// written off (the surviving replicas hold the data), and membership
+// changes wake the wait.  A live server that stays silent past the
+// receive deadline is evicted when its death is survivable (Replicas > 1
+// under recovery) and diagnosed as failed otherwise.
 func (w *worker) drainPrepAcks() error {
-	if w.owedPrepAcks == nil {
-		for w.pendingPrepAcks > 0 {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagPrepAck),
-				fmt.Sprintf("prepare ack (%d outstanding)", w.pendingPrepAcks)); err != nil {
-				return err
-			}
-			w.pendingPrepAcks--
-		}
-		return nil
-	}
 	world := w.rt.world
 	for w.pendingPrepAcks > 0 {
 		for srv, n := range w.owedPrepAcks {
@@ -1538,18 +1472,21 @@ func (w *worker) drainPrepAcks() error {
 			}
 		}
 		if timedOut {
-			total := time.Duration(attempts) * d
-			evicted := false
-			for srv, n := range w.owedPrepAcks {
-				if n > 0 && !world.IsEvicted(srv) {
-					world.Evict(srv, fmt.Sprintf("worker %d heard no prepare ack within %v", w.rank, total))
-					evicted = true
+			srv := -1
+			for r, n := range w.owedPrepAcks {
+				if n > 0 && !world.IsEvicted(r) {
+					srv = r
 					break
 				}
 			}
-			if !evicted {
-				return fmt.Errorf("sip: worker %d: no prepare ack within %v", w.rank, total)
+			if srv < 0 {
+				return fmt.Errorf("sip: worker %d: no prepare ack within %v", w.rank, time.Duration(attempts)*d)
 			}
+			reason := fmt.Sprintf("worker %d heard no prepare ack within %v", w.rank, time.Duration(attempts)*d)
+			if !world.Evictable(srv) {
+				return &mpi.RankFailure{Rank: srv, Reason: reason}
+			}
+			world.Evict(srv, reason)
 		}
 	}
 	w.pendingPrepAcks = 0
@@ -1571,54 +1508,15 @@ func (w *worker) notePrepAck(src int) {
 	w.pendingPrepAcks--
 }
 
-// sipBarrier separates conflicting accesses to distributed arrays: all
-// outstanding puts are applied, all workers rendezvous, and cached remote
-// blocks are invalidated so later gets see the new values.
-func (w *worker) sipBarrier() error {
-	if w.rt.cfg.Recover {
-		if _, err := w.masterSync(syncBarrier, -1, true, nil); err != nil {
-			return err
-		}
-		w.cache.invalidateAll()
-		return nil
-	}
-	if err := w.drainPutAcks(); err != nil {
+// barrier is sip_barrier and server_barrier: a master-mediated sync
+// round (every outstanding put and prepare acknowledged, every live
+// worker parked) after which cached remote blocks are invalidated so
+// later reads see the new values.  For a server barrier the master also
+// flushes the servers' dirty caches before releasing the round.
+func (w *worker) barrier(kind int) error {
+	if _, err := w.masterSync(kind, -1, true, nil); err != nil {
 		return err
 	}
-	w.rt.workerGroup.Barrier()
-	w.cache.invalidateAll()
-	return nil
-}
-
-// serverBarrier separates conflicting accesses to served arrays: all
-// prepares applied, dirty server caches flushed, caches invalidated.
-func (w *worker) serverBarrier() error {
-	if w.rt.cfg.Recover {
-		// The master performs the flush itself once every live worker
-		// has reached (and, if needed, replayed past) this round.
-		if _, err := w.masterSync(syncServerBarrier, -1, true, nil); err != nil {
-			return err
-		}
-		w.cache.invalidateAll()
-		return nil
-	}
-	if err := w.drainPrepAcks(); err != nil {
-		return err
-	}
-	w.rt.workerGroup.Barrier()
-	// One worker triggers the flush on every server; all wait for it.
-	if w.rank == w.rt.firstWorker() {
-		for _, srv := range w.rt.serverList {
-			w.comm.Send(srv, tagServer, flushMsg{origin: w.rank, job: w.rt.job})
-		}
-		for s := 0; s < w.rt.servers; s++ {
-			if _, err := w.recvTimed(mpi.AnySource, w.rt.tag(tagFlushAck),
-				fmt.Sprintf("server flush ack (%d outstanding)", w.rt.servers-s)); err != nil {
-				return err
-			}
-		}
-	}
-	w.rt.workerGroup.Barrier()
 	w.cache.invalidateAll()
 	return nil
 }
@@ -1679,9 +1577,6 @@ func (w *worker) serviceLoop() {
 // (paper §IV-C: used to pass data between SIAL programs and for
 // rudimentary checkpointing).
 func (w *worker) checkpointSave(arrID int) error {
-	if err := w.drainPutAcks(); err != nil {
-		return err
-	}
 	if err := w.ckptBarrier(); err != nil {
 		return err
 	}
@@ -1699,16 +1594,12 @@ func (w *worker) checkpointSave(arrID int) error {
 	return w.ckptBarrier()
 }
 
-// ckptBarrier is the rendezvous around checkpoint operations: a plain
-// worker-group barrier, or a master-mediated sync round under recovery
-// (so a worker death during the checkpoint still resolves).
+// ckptBarrier is the rendezvous around checkpoint operations, a
+// master-mediated sync round (so a worker death during the checkpoint
+// still resolves under recovery).
 func (w *worker) ckptBarrier() error {
-	if w.rt.cfg.Recover {
-		_, err := w.masterSync(syncCkpt, -1, false, nil)
-		return err
-	}
-	w.rt.workerGroup.Barrier()
-	return nil
+	_, err := w.masterSync(syncCkpt, -1, false, nil)
+	return err
 }
 
 // checkpointLoad implements list_to_blocks: every worker asks the
@@ -1716,9 +1607,6 @@ func (w *worker) ckptBarrier() error {
 // with the blocks that worker homes; the worker installs them directly
 // into its own store.
 func (w *worker) checkpointLoad(arrID int) error {
-	if err := w.drainPutAcks(); err != nil {
-		return err
-	}
 	if err := w.ckptBarrier(); err != nil {
 		return err
 	}

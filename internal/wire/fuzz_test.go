@@ -59,6 +59,13 @@ func FuzzDecode(f *testing.F) {
 		e.Uvarint(n)
 		f.Add(e.Bytes())
 	}
+	// A bye notice whose rank count is huge or negative.
+	for _, n := range []int{1 << 61, -1} {
+		e := wire.NewEncoder(16)
+		e.Byte(21) // mpi bye notice: count-prefixed rank list
+		e.Int(n)
+		f.Add(e.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.Decode(data)
 		if err != nil {
